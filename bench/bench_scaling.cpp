@@ -75,8 +75,11 @@ std::pair<ScalingArm, ScalingArm> run_scaling_pair(index::Engine engine,
   using Clock = std::chrono::steady_clock;
   const auto& registry = reflect::TypeRegistry::global();
 
-  ScalingArm plain_arm{tag, false};
-  ScalingArm agg_arm{tag + "-agg", true};
+  ScalingArm plain_arm;
+  plain_arm.name = tag;
+  ScalingArm agg_arm;
+  agg_arm.name = tag + "-agg";
+  agg_arm.aggregated = true;
 
   auto plain = index::make_index(engine, registry);
   index::AggregateConfig agg_config;

@@ -2,10 +2,11 @@
 // own "simulation tool" (§5.2), exposed as a CLI so every knob of the
 // §5 evaluation can be explored without recompiling:
 //
-//   build/examples/simulator \
-//     --stages 1,10,100 --subscribers 150 --events 10000 \
-//     --placement covering --engine naive --wildcard-every 0 \
+//   build/examples/simulator --stages 1,10,100 --subscribers 150
+//     --events 10000 --placement covering --engine naive --wildcard-every 0
 //     --collapse false --author-skew 1.1 --title-skew 4.0 --seed 2002
+//
+// (one command line, wrapped here for width)
 //
 // Prints the §5.3 RLC table, the Fig. 7 per-stage matching rates and the
 // traffic totals for the configured run.

@@ -327,7 +327,7 @@ void LinkManager::on_network(sim::NodeId from, const Payload& payload,
   switch (wire::frame_tag(payload)) {
     case kAckTag: {
       try {
-        wire::Reader r{wire::unframe(payload)};
+        wire::Reader r{wire::unframe_once(payload)};
         (void)r.u8();  // tag
         handle_ack(from, r);
       } catch (const wire::WireError&) {
@@ -336,7 +336,7 @@ void LinkManager::on_network(sim::NodeId from, const Payload& payload,
     }
     case kNackTag: {
       try {
-        wire::Reader r{wire::unframe(payload)};
+        wire::Reader r{wire::unframe_once(payload)};
         (void)r.u8();
         handle_nack(from, r);
       } catch (const wire::WireError&) {
@@ -345,7 +345,7 @@ void LinkManager::on_network(sim::NodeId from, const Payload& payload,
     }
     case kHeartbeatTag: {
       try {
-        wire::Reader r{wire::unframe(payload)};
+        wire::Reader r{wire::unframe_once(payload)};
         (void)r.u8();
         handle_heartbeat(from, r);
       } catch (const wire::WireError&) {
@@ -354,7 +354,7 @@ void LinkManager::on_network(sim::NodeId from, const Payload& payload,
     }
     case kCreditTag: {
       try {
-        wire::Reader r{wire::unframe(payload)};
+        wire::Reader r{wire::unframe_once(payload)};
         (void)r.u8();
         handle_credit(from, r);
       } catch (const wire::WireError&) {

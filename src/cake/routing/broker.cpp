@@ -215,7 +215,7 @@ void Broker::on_packet(sim::NodeId from, const sim::Network::Payload& payload) {
   }
   Packet packet;
   try {
-    packet = decode(payload);
+    packet = decode_once(payload);
   } catch (const wire::WireError&) {
     ++stats_.malformed_packets;  // corrupt frame: drop, never crash a node
     return;
@@ -520,8 +520,8 @@ void Broker::handle(EventMsg&& msg, sim::NodeId from) {
 
 void Broker::handle_event_frame(sim::NodeId from,
                                 const sim::Network::Payload& payload) {
-  wire::Reader r{wire::unframe(payload)};
-  r.u8();  // tag, already peeked by packet_class
+  wire::Reader r{wire::unframe_once(payload)};
+  (void)r.u8();  // tag, already peeked by packet_class
   const sim::Time published_at = r.varint();
   const std::uint64_t event_id = r.varint();
   const std::uint64_t trace_id = r.varint();
@@ -763,7 +763,7 @@ void Broker::do_reparent(std::uint64_t epoch) {
 void Broker::on_retransmit(sim::NodeId to, const sim::Network::Payload& payload) {
   if (tracer_ == nullptr || packet_class(payload) != kEventPacketClass) return;
   try {
-    wire::Reader r{wire::unframe(payload)};
+    wire::Reader r{wire::unframe_once(payload)};
     (void)r.u8();      // tag
     (void)r.varint();  // published_at
     (void)r.varint();  // event_id
@@ -856,7 +856,7 @@ void Broker::pen_tick(std::uint64_t epoch) {
     bool rescued = false;
     std::uint64_t event_id = 0;
     try {
-      wire::Reader r{wire::unframe(parked.payload)};
+      wire::Reader r{wire::unframe_once(parked.payload)};
       (void)r.u8();
       const sim::Time published_at = r.varint();
       event_id = r.varint();

@@ -83,7 +83,10 @@ struct BrokerConfig {
   /// hop forwards exactly the bytes the publisher framed (trace ids, event
   /// ids and published_at all travel inside the frame, never per-hop).
   ForwardMode forward = ForwardMode::PassThrough;
-  index::Engine engine = index::Engine::Naive;
+  /// Matching engine of the filter table. Counting is the indexed default;
+  /// `Engine::Naive` is the Fig. 6 linear scan, kept as the reference and
+  /// differential oracle (DESIGN.md §9).
+  index::Engine engine = index::Engine::Counting;
   /// Online subscription aggregation (DESIGN.md §13). When enabled, the
   /// filter table groups mutually-covered child filters under one merged
   /// entry (their least-general upper bound), `engine` becomes the inner
@@ -160,6 +163,8 @@ struct BrokerStats {
   std::uint64_t events_quarantine_dropped = 0;  ///< oldest penned evicted
   std::size_t filters = 0;             ///< live distinct filters
   std::size_t associations = 0;        ///< live (filter, child) pairs
+
+  [[nodiscard]] bool operator==(const BrokerStats&) const = default;
 };
 
 class Broker {

@@ -183,9 +183,17 @@ void SubscriberNode::unstall() {
 void SubscriberNode::unsubscribe(std::uint64_t token) {
   const auto it = subs_.find(token);
   if (it == subs_.end()) return;
-  if (it->second.parent.has_value())
-    send(*it->second.parent, Unsub{it->second.stored_at_parent, id_});
+  const Sub gone = std::move(it->second);
   subs_.erase(it);
+  // The hosting broker keeps one lease per (child, stored form), shared by
+  // every subscription of ours it stored under that form: withdraw it only
+  // with the last of them, or a sibling silently loses its route.
+  const bool shared = std::any_of(subs_.begin(), subs_.end(), [&](const auto& s) {
+    return s.second.parent == gone.parent &&
+           s.second.stored_at_parent == gone.stored_at_parent;
+  });
+  if (gone.parent.has_value() && !shared)
+    send(*gone.parent, Unsub{gone.stored_at_parent, id_});
   sync_watches();
 }
 
@@ -223,7 +231,7 @@ void SubscriberNode::on_packet(sim::NodeId from,
   }
   Packet packet;
   try {
-    packet = decode(payload);
+    packet = decode_once(payload);
   } catch (const wire::WireError&) {
     ++stats_.malformed_packets;
     return;

@@ -136,8 +136,9 @@ sim::Network::Payload encode_event_frame(const event::EventImage& image,
   return w.end_frame();
 }
 
-Packet decode(std::span<const std::byte> payload) {
-  wire::Reader r{wire::unframe(payload)};
+namespace {
+
+Packet decode_payload(wire::Reader r) {
   switch (static_cast<Tag>(r.u8())) {
     case Tag::Advertise:
       return Advertise{weaken::StageSchema::decode(r)};
@@ -205,6 +206,16 @@ Packet decode(std::span<const std::byte> payload) {
       return link::decode_credit_fields(r);
   }
   throw wire::WireError{"protocol: unknown message tag"};
+}
+
+}  // namespace
+
+Packet decode(std::span<const std::byte> payload) {
+  return decode_payload(wire::Reader{wire::unframe(payload)});
+}
+
+Packet decode_once(const sim::Network::Payload& frame) {
+  return decode_payload(wire::Reader{wire::unframe_once(frame)});
 }
 
 std::uint8_t packet_class(std::span<const std::byte> frame) noexcept {

@@ -136,6 +136,10 @@ using Packet = std::variant<Advertise, Subscribe, JoinAt, AcceptedAt,
 /// Parses a frame; throws wire::WireError on corruption or unknown tags.
 [[nodiscard]] Packet decode(std::span<const std::byte> payload);
 
+/// `decode` for a received refcounted frame: the checksum is checked once
+/// per frame (`wire::unframe_once`), not once per receiver.
+[[nodiscard]] Packet decode_once(const sim::Network::Payload& frame);
+
 /// Number of distinct packet classes (== std::variant_size_v<Packet>).
 inline constexpr std::uint8_t kPacketClasses = 15;
 

@@ -80,6 +80,11 @@ void ThreadedTransport::enqueue(Lane& lane, Item item) {
 }
 
 void ThreadedTransport::wake(Lane& lane) {
+  // Dekker handshake with worker_loop: the push (a release store) must not
+  // be reordered after the `asleep` load, or this producer and a worker
+  // going to sleep can each miss the other's write. Only a full fence
+  // forbids that store-load reordering; the worker fences symmetrically.
+  std::atomic_thread_fence(std::memory_order_seq_cst);
   if (lane.asleep.load(std::memory_order_seq_cst)) {
     std::lock_guard lock{lane.mutex};
     lane.cv.notify_one();
@@ -123,11 +128,16 @@ void ThreadedTransport::worker_loop(Lane& lane, std::size_t index) {
     }
     std::unique_lock lock{lane.mutex};
     lane.asleep.store(true, std::memory_order_seq_cst);
+    std::atomic_thread_fence(std::memory_order_seq_cst);  // pairs with wake()
     // Recheck under the flag: a producer that pushed before seeing the
     // flag is observed here; one that pushed after will notify. The
-    // bounded wait is a belt over the Dekker braces.
-    if (lane.queue.empty() && !stop_.load(std::memory_order_acquire))
-      lane.cv.wait_for(lock, std::chrono::milliseconds(50));
+    // bounded wait is a belt over the Dekker braces; a timeout that finds
+    // work queued is a lost wakeup, and counted as one.
+    if (lane.queue.empty() && !stop_.load(std::memory_order_acquire) &&
+        lane.cv.wait_for(lock, std::chrono::milliseconds(50)) ==
+            std::cv_status::timeout &&
+        !lane.queue.empty())
+      lane.missed_wakeups.fetch_add(1, std::memory_order_relaxed);
     lane.asleep.store(false, std::memory_order_relaxed);
   }
   t_current_lane = nullptr;
@@ -265,6 +275,7 @@ ThreadedStats ThreadedTransport::stats() const noexcept {
     s.batches += lane->batches.load(std::memory_order_relaxed);
     s.max_batch = std::max(s.max_batch,
                            lane->max_batch.load(std::memory_order_relaxed));
+    s.missed_wakeups += lane->missed_wakeups.load(std::memory_order_relaxed);
   }
   s.timers_fired = timers_fired_.load(std::memory_order_relaxed);
   s.posts_rejected = posts_rejected_.load(std::memory_order_relaxed);

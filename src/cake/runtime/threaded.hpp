@@ -55,6 +55,9 @@ struct ThreadedStats {
   std::uint64_t max_batch = 0;   ///< largest single drain
   std::uint64_t timers_fired = 0;
   std::uint64_t posts_rejected = 0;  ///< submissions after shutdown
+  /// Worker sleeps that ran into their timeout with work already queued: a
+  /// post whose wakeup was lost. 0 unless the wake protocol is broken.
+  std::uint64_t missed_wakeups = 0;
 };
 
 class ThreadedTransport final : public Transport {
@@ -103,6 +106,7 @@ private:
     std::atomic<std::uint64_t> tasks{0};
     std::atomic<std::uint64_t> batches{0};
     std::atomic<std::uint64_t> max_batch{0};
+    std::atomic<std::uint64_t> missed_wakeups{0};
     std::thread thread;
   };
 

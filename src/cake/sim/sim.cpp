@@ -6,9 +6,31 @@
 
 namespace cake::sim {
 
+Scheduler::~Scheduler() {
+  for (auto& [at, fifo] : instants_) {
+    while (Item* item = fifo.head) {
+      fifo.head = item->next;
+      recycle(item);
+    }
+  }
+}
+
+void Scheduler::push(Time at, std::function<void()> fn, bool background) {
+  Item* item = std::pmr::polymorphic_allocator<Item>{&pool_}.new_object<Item>(
+      std::move(fn), nullptr, background);
+  Fifo& fifo = instants_[std::max(at, now_)];
+  (fifo.tail != nullptr ? fifo.tail->next : fifo.head) = item;
+  fifo.tail = item;
+  ++pending_;
+  if (!background) ++foreground_pending_;
+}
+
+void Scheduler::recycle(Item* item) noexcept {
+  std::pmr::polymorphic_allocator<Item>{&pool_}.delete_object(item);
+}
+
 void Scheduler::schedule_at(Time at, std::function<void()> fn) {
-  queue_.push(Item{std::max(at, now_), next_seq_++, std::move(fn), false});
-  ++foreground_pending_;
+  push(at, std::move(fn), false);
 }
 
 void Scheduler::schedule_after(Time delay, std::function<void()> fn) {
@@ -16,7 +38,7 @@ void Scheduler::schedule_after(Time delay, std::function<void()> fn) {
 }
 
 void Scheduler::schedule_background_at(Time at, std::function<void()> fn) {
-  queue_.push(Item{std::max(at, now_), next_seq_++, std::move(fn), true});
+  push(at, std::move(fn), true);
 }
 
 void Scheduler::schedule_background_after(Time delay, std::function<void()> fn) {
@@ -24,13 +46,23 @@ void Scheduler::schedule_background_after(Time delay, std::function<void()> fn) 
 }
 
 bool Scheduler::step() {
-  if (queue_.empty()) return false;
-  // Move out before running: the closure may schedule more work.
-  Item item = std::move(const_cast<Item&>(queue_.top()));
-  queue_.pop();
-  if (!item.background) --foreground_pending_;
-  now_ = item.at;
-  item.fn();
+  if (instants_.empty()) return false;
+  // Unlink before running: the closure may schedule more work, including
+  // at this very instant (a fresh FIFO behind whatever is left here).
+  const auto first = instants_.begin();
+  Fifo& fifo = first->second;
+  Item* item = fifo.head;
+  fifo.head = item->next;
+  now_ = first->first;
+  if (fifo.head == nullptr) instants_.erase(first);
+  --pending_;
+  if (!item->background) --foreground_pending_;
+  struct Recycle {
+    Scheduler& self;
+    Item* item;
+    ~Recycle() { self.recycle(item); }
+  } recycle_after{*this, item};
+  item->fn();
   return true;
 }
 
@@ -41,7 +73,7 @@ std::size_t Scheduler::run(std::size_t max_steps) {
 }
 
 void Scheduler::run_until(Time deadline) {
-  while (!queue_.empty() && queue_.top().at <= deadline) step();
+  while (!instants_.empty() && instants_.begin()->first <= deadline) step();
   now_ = std::max(now_, deadline);
 }
 
@@ -66,20 +98,28 @@ std::size_t LinkTag::wire_bytes() const noexcept {
 
 void Network::attach(NodeId node, Handler handler) {
   // Adapt to the tagged signature; one wrap allocation at attach time.
-  handlers_[node] = [h = std::move(handler)](NodeId from, const Payload& p,
-                                             const LinkTag&) { h(from, p); };
+  attach(node, TaggedHandler{[h = std::move(handler)](
+                                 NodeId from, const Payload& p,
+                                 const LinkTag&) { h(from, p); }});
 }
 
 void Network::attach(NodeId node, TaggedHandler handler) {
-  handlers_[node] = std::move(handler);
+  if (node >= handlers_.size()) {
+    handlers_.resize(node + std::size_t{1});
+    received_.resize(handlers_.size());
+  }
+  if (handlers_[node])
+    *handlers_[node] = std::move(handler);
+  else
+    handlers_[node] = std::make_unique<TaggedHandler>(std::move(handler));
 }
 
 void Network::detach(NodeId node) {
-  handlers_.erase(node);
+  if (node < handlers_.size()) handlers_[node].reset();
 }
 
 bool Network::attached(NodeId node) const noexcept {
-  return handlers_.contains(node);
+  return handler_of(node) != nullptr;
 }
 
 void Network::set_loss_rate(double rate, std::uint64_t seed) {
@@ -89,8 +129,13 @@ void Network::set_loss_rate(double rate, std::uint64_t seed) {
   loss_rng_ = util::Rng{seed};
 }
 
+Network::Link& Network::link_record(NodeId from, NodeId to) {
+  return links_.try_emplace(key(from, to), Link{{}, default_latency_})
+      .first->second;
+}
+
 void Network::set_latency(NodeId from, NodeId to, Time latency) {
-  latency_[key(from, to)] = latency;
+  link_record(from, to).latency = latency;
 }
 
 void Network::set_interceptor(Interceptor interceptor) {
@@ -129,11 +174,10 @@ void Network::send(NodeId from, NodeId to, Payload payload,
     threaded_send(from, to, std::move(payload), tag);
     return;
   }
-  const std::uint64_t k = key(from, to);
   const std::size_t size = payload.size() + tag.wire_bytes();
-  LinkStats& stats = links_[k];
-  ++stats.messages;
-  stats.bytes += size;
+  Link& link = link_record(from, to);
+  ++link.stats.messages;
+  link.stats.bytes += size;
   ++total_.messages;
   total_.bytes += size;
 
@@ -150,10 +194,7 @@ void Network::send(NodeId from, NodeId to, Payload payload,
   }
   duplicated_ += action.copies - 1;
 
-  const auto lat = latency_.find(k);
-  const Time delay =
-      (lat == latency_.end() ? default_latency_ : lat->second) +
-      action.extra_latency;
+  const Time delay = link.latency + action.extra_latency;
   for (std::uint32_t copy = 0; copy + 1 < action.copies; ++copy)
     schedule_delivery(from, to, delay, payload, tag);
   schedule_delivery(from, to, delay, std::move(payload), tag);
@@ -248,14 +289,15 @@ void Network::drain_inbox(std::size_t lane) {
 void Network::deliver_on_lane(LaneInbox& inbox, Delivery d) {
   // handlers_ is read-only during fabric traffic (attach/detach are
   // setup-time operations), so the lookup needs no lock.
-  const auto handler = handlers_.find(d.to);
-  if (handler == handlers_.end()) {
+  TaggedHandler* handler = handler_of(d.to);
+  if (handler == nullptr) {
     ++inbox.undeliverable;
     return;
   }
   ++inbox.delivered;
+  if (d.to >= inbox.received.size()) inbox.received.resize(d.to + std::size_t{1});
   ++inbox.received[d.to];
-  handler->second(d.from, d.payload, d.tag);
+  (*handler)(d.from, d.payload, d.tag);
 }
 
 void Network::deliver(std::uint32_t slot) {
@@ -264,14 +306,14 @@ void Network::deliver(std::uint32_t slot) {
   Delivery d = std::move(delivery_slots_[slot]);
   delivery_slots_[slot] = Delivery{};
   free_slots_.push_back(slot);
-  const auto handler = handlers_.find(d.to);
-  if (handler == handlers_.end()) {
+  TaggedHandler* handler = handler_of(d.to);
+  if (handler == nullptr) {
     ++undeliverable_;  // crashed / detached peer
     return;
   }
   ++delivered_;
-  ++received_[d.to];
-  handler->second(d.from, d.payload, d.tag);
+  ++received_[d.to];  // sized with handlers_ by attach
+  (*handler)(d.from, d.payload, d.tag);
 }
 
 std::uint64_t Network::total_messages() const noexcept {
@@ -316,20 +358,17 @@ LinkStats Network::link(NodeId from, NodeId to) const noexcept {
     return merged;
   }
   const auto it = links_.find(key(from, to));
-  return it == links_.end() ? LinkStats{} : it->second;
+  return it == links_.end() ? LinkStats{} : it->second.stats;
 }
 
 std::uint64_t Network::received_by(NodeId node) const noexcept {
   if (fabric_) {
     std::uint64_t total = 0;
-    for (const auto& inbox : fabric_->inboxes) {
-      const auto it = inbox->received.find(node);
-      if (it != inbox->received.end()) total += it->second;
-    }
+    for (const auto& inbox : fabric_->inboxes)
+      if (node < inbox->received.size()) total += inbox->received[node];
     return total;
   }
-  const auto it = received_.find(node);
-  return it == received_.end() ? 0 : it->second;
+  return node < received_.size() ? received_[node] : 0;
 }
 
 }  // namespace cake::sim

@@ -15,8 +15,9 @@
 #include <cstdint>
 #include <functional>
 #include <limits>
+#include <map>
 #include <memory>
-#include <queue>
+#include <memory_resource>
 #include <span>
 #include <unordered_map>
 #include <vector>
@@ -46,11 +47,23 @@ inline constexpr NodeId kNoNode = std::numeric_limits<NodeId>::max();
 /// the way but never keep the simulation alive on their own, which is what
 /// makes "run to quiescence" well-defined in the presence of soft-state
 /// timers.
+///
+/// Pending work is one FIFO per distinct virtual instant, the instants kept
+/// in time order. A post appends to its instant's FIFO, so execution order
+/// is exactly (time, post order) without a sequence number or a heap sift
+/// per step. FIFO nodes and the instant map's nodes recycle through a pool
+/// owned by the scheduler: once the pool covers the peak backlog, posting
+/// and stepping allocate nothing (DESIGN.md §9).
 class Scheduler {
 public:
+  Scheduler() = default;
+  Scheduler(const Scheduler&) = delete;
+  Scheduler& operator=(const Scheduler&) = delete;
+  ~Scheduler();
+
   [[nodiscard]] Time now() const noexcept { return now_; }
-  [[nodiscard]] bool empty() const noexcept { return queue_.empty(); }
-  [[nodiscard]] std::size_t pending() const noexcept { return queue_.size(); }
+  [[nodiscard]] bool empty() const noexcept { return pending_ == 0; }
+  [[nodiscard]] std::size_t pending() const noexcept { return pending_; }
   [[nodiscard]] std::size_t pending_foreground() const noexcept {
     return foreground_pending_;
   }
@@ -84,20 +97,24 @@ public:
 
 private:
   struct Item {
-    Time at;
-    std::uint64_t seq;
     std::function<void()> fn;
-    bool background;
+    Item* next = nullptr;
+    bool background = false;
   };
-  struct Later {
-    bool operator()(const Item& a, const Item& b) const noexcept {
-      return a.at != b.at ? a.at > b.at : a.seq > b.seq;
-    }
+  /// The closures posted for one instant, in post order.
+  struct Fifo {
+    Item* head = nullptr;
+    Item* tail = nullptr;
   };
 
-  std::priority_queue<Item, std::vector<Item>, Later> queue_;
+  void push(Time at, std::function<void()> fn, bool background);
+  void recycle(Item* item) noexcept;
+
+  // Declared first so it outlives the map and every Item it backs.
+  std::pmr::unsynchronized_pool_resource pool_;
+  std::pmr::map<Time, Fifo> instants_{&pool_};
   Time now_ = 0;
-  std::uint64_t next_seq_ = 0;
+  std::size_t pending_ = 0;
   std::size_t foreground_pending_ = 0;
 };
 
@@ -263,7 +280,7 @@ private:
     std::uint64_t delivered = 0;
     std::uint64_t undeliverable = 0;
     std::uint64_t help_drained = 0;  ///< popped by the full-ring help path
-    std::unordered_map<NodeId, std::uint64_t> received;
+    std::vector<std::uint64_t> received;  ///< by NodeId
   };
 
   /// Send-side per-link accounting slot: slot i is written only by lane
@@ -289,6 +306,19 @@ private:
   void drain_inbox(std::size_t lane);
   void deliver_on_lane(LaneInbox& inbox, Delivery d);
 
+  /// The receive handler of `node`, or null when it is not attached.
+  [[nodiscard]] TaggedHandler* handler_of(NodeId node) const noexcept {
+    return node < handlers_.size() ? handlers_[node].get() : nullptr;
+  }
+
+  /// One directed link: its traffic so far and its latency, so a send
+  /// makes one hash lookup for both.
+  struct Link {
+    LinkStats stats;
+    Time latency = 0;
+  };
+  Link& link_record(NodeId from, NodeId to);
+
   Scheduler& scheduler_;
   Time default_latency_;
   double loss_rate_ = 0.0;
@@ -300,10 +330,13 @@ private:
   std::uint64_t delivered_ = 0;
   std::uint64_t undeliverable_ = 0;
   std::uint64_t duplicated_ = 0;
-  std::unordered_map<NodeId, TaggedHandler> handlers_;
-  std::unordered_map<std::uint64_t, Time> latency_;
-  std::unordered_map<std::uint64_t, LinkStats> links_;
-  std::unordered_map<NodeId, std::uint64_t> received_;
+  // Node ids are dense (the overlay numbers nodes from 0), so per-node
+  // tables are vectors indexed by id. Handlers sit behind a pointer: a
+  // handler that attaches another node may grow the table mid-call, and
+  // the handler being run must stay where it is.
+  std::vector<std::unique_ptr<TaggedHandler>> handlers_;
+  std::vector<std::uint64_t> received_;
+  std::unordered_map<std::uint64_t, Link> links_;
   LinkStats total_;
   std::vector<Delivery> delivery_slots_;
   std::vector<std::uint32_t> free_slots_;

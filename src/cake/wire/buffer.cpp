@@ -75,6 +75,7 @@ detail::FrameHolder* Frame::make_holder(std::vector<std::byte> buf) {
       p.pop_back();
       h->buf = std::move(buf);
       h->refs.store(1, std::memory_order_relaxed);
+      h->verified.store(false, std::memory_order_relaxed);
       return h;
     }
   }

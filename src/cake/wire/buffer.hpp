@@ -27,12 +27,26 @@ namespace detail {
 // Intrusive refcount node backing a Frame. Nodes cycle through a
 // thread-local freelist and their vector's capacity goes back to the buffer
 // pool on final release, so neither costs an allocation in steady state.
-// Internal to the wire module; only buffer.cpp touches it directly.
+// Internal to the wire module; only buffer.cpp and wire.cpp touch it.
 struct FrameHolder {
   std::vector<std::byte> buf;
   mutable std::atomic<std::uint32_t> refs{1};
+  /// Set by `unframe_once` after these bytes passed their checksum, cleared
+  /// when the node is recycled. The bytes are immutable while the node is
+  /// live, so the verdict holds for every later reader of the same frame.
+  mutable std::atomic<bool> verified{false};
 };
 }  // namespace detail
+
+class Frame;
+
+/// Validates a frame the way `unframe` does, at most once per frame: the
+/// first successful check is memoized on the refcounted buffer, so every
+/// later hop or receiver of the same Frame (pass-through fan-out) skips the
+/// checksum. A failed check is never memoized, and fresh bytes — a copy,
+/// a corrupted copy, a recycled buffer — start unverified. Defined in
+/// wire.cpp.
+[[nodiscard]] std::span<const std::byte> unframe_once(const Frame& framed);
 
 /// Globally enables/disables buffer pooling (default on). Exists for the
 /// A14 bench arms; pooling off means acquire/release degrade to plain
@@ -119,6 +133,7 @@ public:
 
 private:
   friend class Writer;
+  friend std::span<const std::byte> unframe_once(const Frame& framed);
 
   using Holder = detail::FrameHolder;
 

@@ -210,17 +210,40 @@ std::uint8_t frame_tag(std::span<const std::byte> framed) noexcept {
   return static_cast<std::uint8_t>(framed[pos]);
 }
 
-std::span<const std::byte> unframe(std::span<const std::byte> framed) {
+namespace {
+
+/// A frame split into its payload view and the checksum it carries.
+struct Framed {
+  std::span<const std::byte> payload;
+  std::uint64_t sum = 0;
+};
+
+Framed split_frame(std::span<const std::byte> framed) {
   Reader r{framed};
   const std::uint64_t len = r.varint();
   if (len > framed.size() || r.remaining() < len + 8)
     throw WireError{"wire: truncated frame"};
-  const std::span<const std::byte> payload = r.bytes(len);
-  std::uint64_t sum = 0;
+  Framed f{r.bytes(len)};
   for (int i = 0; i < 8; ++i)
-    sum |= static_cast<std::uint64_t>(r.u8()) << (8 * i);
-  if (sum != fnv1a(payload)) throw WireError{"wire: checksum mismatch"};
-  return payload;
+    f.sum |= static_cast<std::uint64_t>(r.u8()) << (8 * i);
+  return f;
+}
+
+}  // namespace
+
+std::span<const std::byte> unframe(std::span<const std::byte> framed) {
+  const Framed f = split_frame(framed);
+  if (f.sum != fnv1a(f.payload)) throw WireError{"wire: checksum mismatch"};
+  return f.payload;
+}
+
+std::span<const std::byte> unframe_once(const Frame& framed) {
+  const Framed f = split_frame(framed.bytes());
+  const detail::FrameHolder* holder = framed.holder_;
+  if (holder->verified.load(std::memory_order_relaxed)) return f.payload;
+  if (f.sum != fnv1a(f.payload)) throw WireError{"wire: checksum mismatch"};
+  holder->verified.store(true, std::memory_order_relaxed);
+  return f.payload;
 }
 
 }  // namespace cake::wire

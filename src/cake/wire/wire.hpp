@@ -120,6 +120,8 @@ private:
 /// Validates a frame produced by `frame`/`end_frame` and returns a
 /// bounds-checked *view* of its payload (no copy — the view borrows from
 /// `framed`). Throws WireError on truncation or checksum mismatch.
+/// Receivers holding a refcounted `Frame` call `unframe_once` (buffer.hpp)
+/// instead, which checks each frame's checksum only once.
 [[nodiscard]] std::span<const std::byte> unframe(
     std::span<const std::byte> framed);
 

@@ -38,18 +38,18 @@ TEST(Cli, BooleanSpellings) {
   EXPECT_TRUE(parse({"--x=1"}).get("x", false));
   EXPECT_FALSE(parse({"--x=off"}).get("x", true));
   EXPECT_FALSE(parse({"--x=false"}).get("x", true));
-  EXPECT_THROW(parse({"--x=maybe"}).get("x", false), CliError);
+  EXPECT_THROW((void)parse({"--x=maybe"}).get("x", false), CliError);
 }
 
 TEST(Cli, Doubles) {
   EXPECT_DOUBLE_EQ(parse({"--skew", "1.25"}).get("skew", 0.0), 1.25);
-  EXPECT_THROW(parse({"--skew", "fast"}).get("skew", 0.0), CliError);
+  EXPECT_THROW((void)parse({"--skew", "fast"}).get("skew", 0.0), CliError);
 }
 
 TEST(Cli, IntegerValidation) {
   EXPECT_EQ(parse({"--n", "-7"}).get("n", std::int64_t{0}), -7);
-  EXPECT_THROW(parse({"--n", "12x"}).get("n", std::int64_t{0}), CliError);
-  EXPECT_THROW(parse({"--n", ""}).get("n", std::int64_t{0}), CliError);
+  EXPECT_THROW((void)parse({"--n", "12x"}).get("n", std::int64_t{0}), CliError);
+  EXPECT_THROW((void)parse({"--n", ""}).get("n", std::int64_t{0}), CliError);
 }
 
 TEST(Cli, Lists) {

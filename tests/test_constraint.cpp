@@ -243,7 +243,9 @@ TEST(RelaxJoinProperty, JoinCoversBothInputsSemantically) {
     }
     // And on the absent-attribute case.
     const EventImage empty{"T", {}};
-    if (a.matches(empty) || b.matches(empty)) EXPECT_TRUE(j.matches(empty));
+    if (a.matches(empty) || b.matches(empty)) {
+      EXPECT_TRUE(j.matches(empty));
+    }
   }
 }
 

@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "cake/routing/overlay.hpp"
 #include "cake/workload/generators.hpp"
 
@@ -161,6 +163,54 @@ TEST_F(EndpointsTest, UnsubscribeStopsDelivery) {
   overlay_->run();
   EXPECT_EQ(count, 1);
   EXPECT_EQ(sub.subscriptions(), 0u);
+}
+
+// Two subscriptions that differ only in the attribute stage 1 weakens away
+// are stored under one form at one broker, which keeps a single lease per
+// (child, form). Dropping one of them must leave the other routed.
+TEST_F(EndpointsTest, UnsubscribeKeepsSiblingWithTheSameStoredForm) {
+  auto& sub = overlay_->add_subscriber();
+  const auto titled = [](const char* title) {
+    return FilterBuilder{"Publication"}
+        .where("year", Op::Eq, Value{2002})
+        .where("conference", Op::Eq, Value{"ICDCS"})
+        .where("author", Op::Eq, Value{"Eugster"})
+        .where("title", Op::Eq, Value{title})
+        .build();
+  };
+  int cake = 0, other = 0;
+  const auto cake_token =
+      sub.subscribe(titled("Cake"), [&](const EventImage&) { ++cake; });
+  overlay_->run();  // placed first, so the sibling's join finds its form
+  const auto other_token =
+      sub.subscribe(titled("Other"), [&](const EventImage&) { ++other; });
+  overlay_->run();
+  ASSERT_TRUE(sub.accepted_at(cake_token).has_value());
+  ASSERT_EQ(sub.accepted_at(cake_token), sub.accepted_at(other_token));
+  const auto views = sub.subscription_views();
+  ASSERT_EQ(views.size(), 2u);
+  ASSERT_EQ(views[0].stored, views[1].stored);
+
+  sub.unsubscribe(cake_token);
+  overlay_->run();
+  publisher_->publish(pub_event(2002, "ICDCS", "Eugster", "Cake"));
+  publisher_->publish(pub_event(2002, "ICDCS", "Eugster", "Other"));
+  overlay_->run();
+  EXPECT_EQ(cake, 0);
+  EXPECT_EQ(other, 1);
+
+  // The last subscription on the form does withdraw it.
+  sub.unsubscribe(other_token);
+  overlay_->run();
+  publisher_->publish(pub_event(2002, "ICDCS", "Eugster", "Other"));
+  overlay_->run();
+  EXPECT_EQ(other, 1);
+  const Broker* host = nullptr;
+  for (Broker* leaf : overlay_->brokers_at(1))
+    if (leaf->id() == *views[0].parent) host = leaf;
+  ASSERT_NE(host, nullptr);
+  for (const auto& [stored, children] : host->table())
+    EXPECT_EQ(std::count(children.begin(), children.end(), sub.id()), 0);
 }
 
 TEST_F(EndpointsTest, RenewalKeepsSubscriptionAliveAcrossTtl) {

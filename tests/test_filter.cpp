@@ -264,10 +264,11 @@ TEST_F(FilterTest, CoveringSoundnessProperty) {
       const EventImage image = image_of(
           Stock{symbols[rng.below(3)], static_cast<double>(rng.between(0, 20)),
                 rng.between(1, 100)});
-      if (strong.matches(image, registry_))
+      if (strong.matches(image, registry_)) {
         ASSERT_TRUE(weak.matches(image, registry_))
             << weak.to_string() << " !covers " << strong.to_string() << " at "
             << image.to_string();
+      }
     }
   }
   EXPECT_GT(covering_pairs, 50);

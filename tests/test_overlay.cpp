@@ -3,7 +3,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
+#include <tuple>
+
+#include "cake/workload/generators.hpp"
 
 namespace cake::routing {
 namespace {
@@ -107,6 +111,62 @@ TEST(Overlay, DeterministicUnderSeed) {
   const auto b = build_and_probe(7);
   ASSERT_TRUE(a.has_value());
   EXPECT_EQ(*a, *b);
+}
+
+// The matching engine is an implementation detail of the broker: the
+// indexed default and the Fig. 6 linear scan (`Engine::Naive`, the
+// reference) must route the biblio workload identically — same handler
+// calls, same per-broker counters.
+TEST(Overlay, DefaultEngineRoutesExactlyLikeTheNaiveReference) {
+  workload::ensure_types_registered();
+  using Delivery = std::tuple<sim::NodeId, int, std::size_t>;
+  auto run = [](const BrokerConfig& broker) {
+    OverlayConfig config;
+    config.stage_counts = {1, 4, 16};
+    config.broker = broker;
+    config.broker.auto_renew = false;
+    config.seed = 11;
+    Overlay overlay{config};
+    auto& publisher = overlay.add_publisher();
+    publisher.advertise(workload::BiblioGenerator::schema());
+    workload::BiblioGenerator gen{{}, 2002};
+    std::vector<Delivery> deliveries;
+    std::size_t published = 0;
+    for (int s = 0; s < 40; ++s) {
+      auto& sub = overlay.add_subscriber();
+      for (int k = 0; k < 8; ++k) {
+        // Every fourth subscription wildcards 1-3 of the finer attributes.
+        const auto filter = k % 4 == 3
+                                ? gen.next_subscription(1 + (s + k) % 3)
+                                : gen.next_subscription();
+        sub.subscribe(filter, [&deliveries, &published, id = sub.id(),
+                               k](const event::EventImage&) {
+          deliveries.emplace_back(id, k, published);
+        });
+      }
+    }
+    overlay.run();
+    for (; published < 600; ++published) {
+      publisher.publish(gen.next_event());
+      overlay.run();
+    }
+    std::vector<BrokerStats> stats;
+    for (std::size_t stage = 1; stage <= 3; ++stage)
+      for (const Broker* b : overlay.brokers_at(stage))
+        stats.push_back(b->stats());
+    std::sort(deliveries.begin(), deliveries.end());
+    return std::pair{deliveries, stats};
+  };
+  BrokerConfig naive;
+  naive.engine = index::Engine::Naive;
+  const auto reference = run(naive);
+  const auto indexed = run(BrokerConfig{});
+  ASSERT_EQ(BrokerConfig{}.engine, index::Engine::Counting);
+  EXPECT_GT(reference.first.size(), 100u);
+  EXPECT_EQ(indexed.first, reference.first);
+  ASSERT_EQ(indexed.second.size(), reference.second.size());
+  for (std::size_t i = 0; i < reference.second.size(); ++i)
+    EXPECT_TRUE(indexed.second[i] == reference.second[i]) << "broker " << i;
 }
 
 }  // namespace

@@ -3,9 +3,12 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <queue>
 #include <tuple>
 
 #include "cake/sim/chaos.hpp"
+#include "cake/util/rng.hpp"
 
 namespace cake::sim {
 namespace {
@@ -129,6 +132,128 @@ TEST(Scheduler, RunUntilIsIdempotentAtTheDeadline) {
   s.run_until(80);  // strictly-later work stays pending
   EXPECT_EQ(runs, 1);
   EXPECT_EQ(s.pending(), 1u);
+}
+
+// The order oracle for Scheduler: one binary heap keyed on (time, post
+// sequence), the textbook discrete-event queue. It has the same interface,
+// so the one `drive` template below runs both.
+class HeapScheduler {
+public:
+  [[nodiscard]] Time now() const noexcept { return now_; }
+  [[nodiscard]] std::size_t pending() const noexcept { return queue_.size(); }
+  [[nodiscard]] std::size_t pending_foreground() const noexcept {
+    return foreground_;
+  }
+  void schedule_at(Time at, std::function<void()> fn) {
+    push(at, std::move(fn), false);
+  }
+  void schedule_after(Time delay, std::function<void()> fn) {
+    schedule_at(now_ + delay, std::move(fn));
+  }
+  void schedule_background_at(Time at, std::function<void()> fn) {
+    push(at, std::move(fn), true);
+  }
+  void schedule_background_after(Time delay, std::function<void()> fn) {
+    schedule_background_at(now_ + delay, std::move(fn));
+  }
+  bool step() {
+    if (queue_.empty()) return false;
+    Item item = queue_.top();
+    queue_.pop();
+    if (!item.background) --foreground_;
+    now_ = item.at;
+    item.fn();
+    return true;
+  }
+  std::size_t run(std::size_t max_steps) {
+    std::size_t steps = 0;
+    while (steps < max_steps && foreground_ > 0 && step()) ++steps;
+    return steps;
+  }
+  void run_until(Time deadline) {
+    while (!queue_.empty() && queue_.top().at <= deadline) step();
+    now_ = std::max(now_, deadline);
+  }
+
+private:
+  struct Item {
+    Time at;
+    std::uint64_t seq;
+    std::function<void()> fn;
+    bool background;
+  };
+  struct Later {
+    bool operator()(const Item& a, const Item& b) const noexcept {
+      return a.at != b.at ? a.at > b.at : a.seq > b.seq;
+    }
+  };
+  void push(Time at, std::function<void()> fn, bool background) {
+    queue_.push(Item{std::max(at, now_), seq_++, std::move(fn), background});
+    if (!background) ++foreground_;
+  }
+
+  std::priority_queue<Item, std::vector<Item>, Later> queue_;
+  Time now_ = 0;
+  std::uint64_t seq_ = 0;
+  std::size_t foreground_ = 0;
+};
+
+// Drives a scheduler through a seeded random program — foreground and
+// background posts, absolute, relative and past (clamped) times, closures
+// that post more work at their own instant, interleaved with step(),
+// run(max_steps) and run_until() — and logs every observable: which closure
+// ran at what time, each call's result, the clock and the pending counts.
+template <class S>
+std::vector<std::uint64_t> drive(std::uint64_t seed) {
+  S s;
+  util::Rng rng{seed};
+  std::vector<std::uint64_t> log;
+  std::uint64_t next_id = 0;
+  std::function<void(int)> post = [&](int depth) {
+    const std::uint64_t id = next_id++;
+    std::function<void()> fn = [&, id, depth] {
+      log.push_back(id);
+      log.push_back(s.now());
+      if (depth < 3)
+        for (auto n = rng.below(3); n > 0; --n) post(depth + 1);
+    };
+    const Time now = s.now();
+    switch (rng.below(6)) {
+      case 0: s.schedule_at(now + 10 * rng.below(4), std::move(fn)); break;
+      case 1: s.schedule_at(now > 25 ? now - 25 : 0, std::move(fn)); break;
+      case 2: s.schedule_after(rng.below(3), std::move(fn)); break;
+      case 3:
+        s.schedule_background_at(now + 10 * rng.below(4), std::move(fn));
+        break;
+      case 4: s.schedule_background_after(rng.below(2), std::move(fn)); break;
+      default: s.schedule_after(rng.below(100), std::move(fn)); break;
+    }
+  };
+  for (int round = 0; round < 300; ++round) {
+    for (auto n = rng.below(4); n > 0; --n) post(0);
+    switch (rng.below(4)) {
+      case 0: log.push_back(s.step() ? 1 : 0); break;
+      case 1: log.push_back(s.run(rng.below(8))); break;
+      case 2: s.run_until(s.now() + rng.below(40)); break;
+      default: log.push_back(s.run(std::numeric_limits<std::size_t>::max())); break;
+    }
+    log.push_back(s.now());
+    log.push_back(s.pending());
+    log.push_back(s.pending_foreground());
+  }
+  s.run_until(s.now() + 1'000);  // posts are depth-bounded: this drains all
+  log.push_back(s.now());
+  log.push_back(s.pending());
+  return log;
+}
+
+TEST(Scheduler, MatchesTheTimeSeqHeapOnRandomPrograms) {
+  for (std::uint64_t seed = 1; seed <= 40; ++seed) {
+    const auto fifo = drive<Scheduler>(seed);
+    const auto heap = drive<HeapScheduler>(seed);
+    ASSERT_GT(heap.size(), 1'000u);
+    ASSERT_EQ(fifo, heap) << "seed " << seed;
+  }
 }
 
 TEST(Network, DeliversWithDefaultLatency) {

@@ -32,8 +32,8 @@ TEST(Value, AccessorsReturnStoredValues) {
 }
 
 TEST(Value, AccessorKindMismatchThrows) {
-  EXPECT_THROW(Value{1}.as_string(), std::bad_variant_access);
-  EXPECT_THROW(Value{"x"}.as_int(), std::bad_variant_access);
+  EXPECT_THROW((void)Value{1}.as_string(), std::bad_variant_access);
+  EXPECT_THROW((void)Value{"x"}.as_int(), std::bad_variant_access);
 }
 
 TEST(Value, NumericPromotionInEquality) {

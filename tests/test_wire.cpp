@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include <limits>
+#include <string_view>
+#include <vector>
 
 namespace cake::wire {
 namespace {
@@ -172,6 +174,60 @@ TEST(Wire, TruncatedFrameDetected) {
   auto framed = frame(w.bytes());
   framed.resize(framed.size() - 3);
   EXPECT_THROW((void)unframe(framed), WireError);
+}
+
+// A pooled, in-place frame, as the event path builds them.
+Frame pooled_frame(std::string_view text) {
+  Writer w = Writer::pooled();
+  w.begin_frame();
+  w.string(text);
+  return w.end_frame();
+}
+
+// The same bytes with one payload bit flipped, in a fresh buffer.
+std::vector<std::byte> corrupted(const Frame& f) {
+  std::vector<std::byte> bytes{f.begin(), f.end()};
+  bytes[2] ^= std::byte{0x01};
+  return bytes;
+}
+
+TEST(Wire, UnframeOnceAgreesWithUnframe) {
+  const Frame f = pooled_frame("payload");
+  const auto full = unframe(f.bytes());
+  for (const Frame& receiver : std::vector<Frame>(3, f)) {
+    const auto once = unframe_once(receiver);
+    EXPECT_EQ(once.data(), full.data());
+    EXPECT_EQ(once.size(), full.size());
+  }
+}
+
+TEST(Wire, UnframeOnceRejectsAFreshCorruptedCopyAtEveryReceiver) {
+  const Frame good = pooled_frame("payload");
+  (void)unframe_once(good);  // verified: the verdict covers these bytes only
+  const Frame bad{corrupted(good)};
+  // Fan-out hands every receiver a reference to the one corrupt buffer.
+  for (const Frame& receiver : std::vector<Frame>(3, bad))
+    EXPECT_THROW((void)unframe_once(receiver), WireError);
+  EXPECT_NO_THROW((void)unframe_once(good));
+}
+
+TEST(Wire, UnframeOnceNeverMemoizesAFailedCheck) {
+  const Frame bad{corrupted(pooled_frame("payload"))};
+  for (int i = 0; i < 3; ++i) EXPECT_THROW((void)unframe_once(bad), WireError);
+  EXPECT_THROW((void)unframe_once(Frame{}), WireError);
+}
+
+TEST(Wire, RecycledFrameHolderStartsUnverified) {
+  ASSERT_TRUE(buffer_pooling());
+  std::vector<std::byte> bad_bytes;
+  {
+    const Frame good = pooled_frame("payload");
+    (void)unframe_once(good);
+    bad_bytes = corrupted(good);
+  }  // last reference gone: the verified node returns to the freelist
+  // The thread-local freelist is LIFO, so this frame reuses that node.
+  const Frame bad{std::move(bad_bytes)};
+  EXPECT_THROW((void)unframe_once(bad), WireError);
 }
 
 TEST(Wire, RawAppendsVerbatim) {

@@ -3,6 +3,7 @@
 // boundaries, shutdown/rejection semantics, and the CAKE_THREADS worker
 // clamp.
 #include <atomic>
+#include <chrono>
 #include <future>
 #include <set>
 #include <thread>
@@ -98,6 +99,31 @@ TEST(ThreadedTransportTest, CrossThreadPostsAllExecute) {
   EXPECT_EQ(count.load(), kThreads * kPerThread);
   EXPECT_GE(transport.stats().tasks,
             static_cast<std::uint64_t>(kThreads * kPerThread));
+}
+
+// The wake protocol is a Dekker handshake (producer: push, then read
+// `asleep`; worker: set `asleep`, then recheck the queue). Without full
+// fences either side's store can sit in its store buffer past the other's
+// load, and a post slips by a worker on its way to sleep: the lane then
+// stalls until the sleep's 50 ms timeout. Spaced single posts from a
+// foreign thread land all over the worker's sleep transition; every one
+// must wake it.
+TEST(ThreadedTransportTest, SpacedForeignPostsNeverMissAWakeup) {
+  constexpr int kPosts = 20'000;
+  ThreadedTransport transport{ThreadedOptions{.workers = 1}};
+  std::atomic<int> done{0};
+  for (int i = 0; i < kPosts; ++i) {
+    // Vary the gap so posts hit every phase of the worker going idle.
+    const auto gap = std::chrono::steady_clock::now() +
+                     std::chrono::nanoseconds{(i * 37) % 4'000};
+    while (std::chrono::steady_clock::now() < gap) {
+    }
+    transport.post([&done] { done.fetch_add(1, std::memory_order_release); });
+    while (done.load(std::memory_order_acquire) <= i) std::this_thread::yield();
+  }
+  transport.drain();
+  EXPECT_EQ(done.load(), kPosts);
+  EXPECT_EQ(transport.stats().missed_wakeups, 0u);
 }
 
 TEST(ThreadedTransportTest, ShutdownDrainsAlreadyQueuedTasks) {
