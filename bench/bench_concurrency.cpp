@@ -1,9 +1,8 @@
 // Experiments A12 + A16 — concurrent publish throughput of LocalBus.
 //
-// Measures N publisher threads pushing events through one bus, comparing
-// the sharded matching engine (per-shard reader–writer snapshot, the
-// default) against the pre-sharding baseline that funnels every match()
-// through one global mutex (BusOptions::serialize_matching).
+// Measures N publisher threads pushing events through one bus's sharded
+// matching engine (per-shard reader–writer snapshot), against the same bus
+// driven by one thread.
 //
 // Two workloads:
 //   * multi-type — each publisher owns a distinct event class, so in the
@@ -12,9 +11,8 @@
 //     the SAME shard's lock, but only in shared mode: matching still
 //     proceeds concurrently on per-thread scratch state.
 //
-// Expected shape: the serialized bus is flat (or degrades) as threads are
-// added; the sharded bus scales with cores. On a single-core host both
-// columns are flat — the speedup column is only meaningful with
+// Expected shape: throughput scales with cores. On a single-core host it
+// is flat — the "vs 1 thread" column is only meaningful with
 // hardware_concurrency ≥ the thread count.
 //
 // A16 (threaded transport scaling) runs the same multi-type workload
@@ -156,13 +154,11 @@ struct Run {
   std::uint64_t delivered = 0;
 };
 
-Run run_workload(bool serialized, bool multi_type, int threads,
-                 int events_per_thread,
+Run run_workload(bool multi_type, int threads, int events_per_thread,
                  std::vector<index::ShardStats>* shards_out = nullptr) {
   runtime::BusOptions options;
   options.engine = index::Engine::Counting;
   options.shards = kShards;
-  options.serialize_matching = serialized;
   runtime::LocalBus bus{options};
   std::atomic<std::uint64_t> delivered{0};
   populate(bus, delivered);
@@ -406,8 +402,8 @@ int main(int argc, char** argv) {
   }
   workload::ensure_types_registered();
 
-  std::cout << "=== A12: Concurrent publish throughput, sharded vs "
-               "serialized matching ===\n"
+  std::cout << "=== A12: Concurrent publish throughput, sharded "
+               "matching ===\n"
             << "4 event classes x " << kFiltersPerType << " filters, "
             << kShards << " shards, " << events_per_thread
             << " events/thread (hardware_concurrency = "
@@ -420,27 +416,20 @@ int main(int argc, char** argv) {
                         "classes, distinct shards) --\n"
                       : "-- Same-type workload (all publishers on Stock, one "
                         "shared shard) --\n");
-    util::TextTable table{{"Threads", "Serialized ev/s", "Sharded ev/s",
-                           "Speedup", "Deliveries"}};
+    util::TextTable table{
+        {"Threads", "Sharded ev/s", "vs 1 thread", "Deliveries"}};
+    double single_thread = 0.0;
     for (const int threads : {1, 2, 4, 8}) {
-      const Run serial =
-          run_workload(/*serialized=*/true, multi_type, threads,
-                       events_per_thread);
       std::vector<index::ShardStats> shards;
-      const Run sharded = run_workload(/*serialized=*/false, multi_type,
-                                       threads, events_per_thread, &shards);
-      const double speedup = sharded.events_per_sec / serial.events_per_sec;
+      const Run sharded =
+          run_workload(multi_type, threads, events_per_thread, &shards);
+      if (threads == 1) single_thread = sharded.events_per_sec;
+      const double speedup = sharded.events_per_sec / single_thread;
       if (multi_type && threads == 4) speedup_at_4 = speedup;
       table.add_row({std::to_string(threads),
-                     util::format_number(serial.events_per_sec),
                      util::format_number(sharded.events_per_sec),
                      util::format_number(speedup),
                      std::to_string(sharded.delivered)});
-      if (serial.delivered != sharded.delivered) {
-        std::cout << "DELIVERY MISMATCH: serialized=" << serial.delivered
-                  << " sharded=" << sharded.delivered << "\n";
-        return 1;
-      }
       if (!multi_type && threads == 4) {
         std::cout << "shard imbalance at 4 threads: "
                   << util::format_number(metrics::shard_imbalance(shards))
@@ -451,7 +440,7 @@ int main(int argc, char** argv) {
     std::cout << "\n";
   }
 
-  std::cout << "multi-type speedup at 4 publisher threads: "
+  std::cout << "multi-type speedup at 4 publisher threads vs 1: "
             << util::format_number(speedup_at_4) << "x\n";
 
   // ---- A16: threaded transport scaling --------------------------------
@@ -468,8 +457,8 @@ int main(int argc, char** argv) {
         run_pipeline(workers, producers, events_per_thread);
     // Differential delivery gate: the direct sharded bus on the identical
     // (type, i) stream is the oracle for what the pipeline must deliver.
-    const Run direct = run_workload(/*serialized=*/false, /*multi_type=*/true,
-                                    producers, events_per_thread);
+    const Run direct =
+        run_workload(/*multi_type=*/true, producers, events_per_thread);
     threaded_table.add_row({std::to_string(run.workers),
                             util::format_number(run.events_per_sec),
                             util::format_number(direct.events_per_sec),

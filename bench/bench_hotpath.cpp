@@ -1,23 +1,17 @@
-// Experiment A14 — zero-allocation hot path: before/after curves.
+// Experiment A14 — zero-allocation hot path.
 //
-// Four arms over the same seeded {1, 4, 16} biblio overlay, timed around
-// the publish + drain phase only, each toggling one layer of DESIGN.md §9:
+// The `passthrough` arm runs a seeded {1, 4, 16} biblio overlay, timed
+// around the publish + drain phase only: borrowed in-place decode at every
+// broker and the original refcounted frame fanned to every matching child
+// over pooled wire buffers — the DESIGN.md §9 event path.
 //
-//   baseline     owning decode at every broker, fresh frame per forward,
-//                buffer pooling off — the pre-§9 cost model;
-//   interned     borrowed in-place decode (symbol ids, string_views into
-//                the packet), still re-encoding per forward, pooling off;
-//   pooled       borrowed decode + re-encode over pooled wire buffers;
-//   passthrough  borrowed decode + the original refcounted frame fanned to
-//                every matching child — the full §9 configuration.
+// Rounds keep best-of-R throughput. A counting operator-new interposer
+// (local to this binary) measures allocations per published event over the
+// publish + drain phase; that count is deterministic for a fixed workload
+// and forms the CI regression gate — wall-clock throughput is reported but
+// not gated, since shared runners jitter.
 //
-// Arms run interleaved and keep best-of-R throughput. A counting
-// operator-new interposer (local to this binary) measures allocations per
-// published event over the publish + drain phase; those counts are
-// deterministic for a fixed workload and form the CI regression gate —
-// wall-clock speedup is reported but not gated, since shared runners jitter.
-//
-// A fifth, *threaded* arm (DESIGN.md §11) runs a pre-created refcounted
+// A second, *threaded* arm (DESIGN.md §11) runs a pre-created refcounted
 // event stream through the batched pipeline on a ThreadedTransport: the
 // cross-thread handoff is a refcount bump plus 1/batch of a queue push,
 // so its steady-state allocs/event must stay near zero too — that is the
@@ -41,7 +35,6 @@
 #include "cake/runtime/pipeline.hpp"
 #include "cake/runtime/threaded.hpp"
 #include "cake/util/table.hpp"
-#include "cake/wire/buffer.hpp"
 #include "cake/workload/generators.hpp"
 
 namespace {
@@ -85,9 +78,6 @@ constexpr int kRounds = 5;
 
 struct Arm {
   const char* name;
-  bool borrowed_decode;
-  routing::ForwardMode forward;
-  bool pooling;
   double best_events_per_sec = 0.0;
   double allocs_per_event = 0.0;
   double bytes_per_event = 0.0;
@@ -95,13 +85,9 @@ struct Arm {
 };
 
 void run_arm(Arm& arm, std::size_t events, std::uint64_t seed) {
-  wire::set_buffer_pooling(arm.pooling);
-
   routing::OverlayConfig config;
   config.stage_counts = {1, 4, 16};
   config.seed = seed;
-  config.broker.borrowed_decode = arm.borrowed_decode;
-  config.broker.forward = arm.forward;
   config.broker.auto_renew = false;  // static phase: measure the event path
   routing::Overlay overlay{config};
 
@@ -143,7 +129,6 @@ void run_arm(Arm& arm, std::size_t events, std::uint64_t seed) {
   arm.deliveries = 0;
   for (const auto& sub : overlay.subscribers())
     arm.deliveries += sub->stats().events_delivered;
-  wire::set_buffer_pooling(true);
 }
 
 struct ThreadedArm {
@@ -244,44 +229,28 @@ int main(int argc, char** argv) {
   }
   workload::ensure_types_registered();
 
-  Arm arms[] = {
-      {"baseline", false, routing::ForwardMode::Reencode, false},
-      {"interned", true, routing::ForwardMode::Reencode, false},
-      {"pooled", true, routing::ForwardMode::Reencode, true},
-      {"passthrough", true, routing::ForwardMode::PassThrough, true},
-  };
+  Arm passthrough{"passthrough"};
 
   std::cout << "=== A14: Zero-allocation hot path ===\n"
             << "{1,4,16} overlay, " << kSubscribers << " subscribers, "
             << events << " events, best of " << kRounds
-            << " interleaved rounds\n\n";
+            << " rounds\n\n";
 
   for (int round = 0; round < kRounds; ++round)
-    for (Arm& arm : arms) run_arm(arm, events, 2002 + round);
+    run_arm(passthrough, events, 2002 + round);
 
   ThreadedArm threaded;
   for (int round = 0; round < kRounds; ++round)
     run_threaded_arm(threaded, events);
 
-  const Arm& baseline = arms[0];
-  const Arm& full = arms[3];
-  util::TextTable table{{"Arm", "Events/s", "vs baseline", "Allocs/event",
-                         "Bytes/event", "Deliveries"}};
-  for (const Arm& arm : arms) {
-    table.add_row(
-        {arm.name, util::format_number(arm.best_events_per_sec),
-         util::format_number(arm.best_events_per_sec /
-                             baseline.best_events_per_sec),
-         util::format_number(arm.allocs_per_event),
-         util::format_number(arm.bytes_per_event),
-         std::to_string(arm.deliveries)});
-  }
+  util::TextTable table{
+      {"Arm", "Events/s", "Allocs/event", "Bytes/event", "Deliveries"}};
+  table.add_row({passthrough.name,
+                 util::format_number(passthrough.best_events_per_sec),
+                 util::format_number(passthrough.allocs_per_event),
+                 util::format_number(passthrough.bytes_per_event),
+                 std::to_string(passthrough.deliveries)});
   table.print(std::cout);
-
-  const double speedup =
-      full.best_events_per_sec / baseline.best_events_per_sec;
-  std::cout << "\npassthrough/baseline speedup: "
-            << util::format_number(speedup) << "x\n";
 
   std::cout << "\nthreaded pipeline arm (" << threaded.workers
             << " workers): " << util::format_number(threaded.best_events_per_sec)
@@ -293,18 +262,13 @@ int main(int argc, char** argv) {
   {
     std::ofstream json{"BENCH_hotpath.json"};
     json << "{\n  \"experiment\": \"A14\",\n  \"events\": " << events
-         << ",\n  \"arms\": [\n";
-    for (std::size_t i = 0; i < 4; ++i) {
-      const Arm& arm = arms[i];
-      json << "    {\"name\": \"" << arm.name
-           << "\", \"events_per_sec\": " << arm.best_events_per_sec
-           << ", \"allocs_per_event\": " << arm.allocs_per_event
-           << ", \"bytes_per_event\": " << arm.bytes_per_event
-           << ", \"deliveries\": " << arm.deliveries << "}"
-           << (i + 1 < 4 ? "," : "") << "\n";
-    }
-    json << "  ],\n  \"speedup_passthrough_vs_baseline\": " << speedup
-         << ",\n  \"threaded\": {\"workers\": " << threaded.workers
+         << ",\n  \"arms\": [\n"
+         << "    {\"name\": \"" << passthrough.name
+         << "\", \"events_per_sec\": " << passthrough.best_events_per_sec
+         << ", \"allocs_per_event\": " << passthrough.allocs_per_event
+         << ", \"bytes_per_event\": " << passthrough.bytes_per_event
+         << ", \"deliveries\": " << passthrough.deliveries << "}\n"
+         << "  ],\n  \"threaded\": {\"workers\": " << threaded.workers
          << ", \"events_per_sec\": " << threaded.best_events_per_sec
          << ", \"allocs_per_event\": " << threaded.allocs_per_event
          << ", \"direct_allocs_per_event\": "
@@ -312,28 +276,16 @@ int main(int argc, char** argv) {
          << ", \"deliveries\": " << threaded.delivered << "}\n}\n";
   }
 
-  // Deterministic gates. Every arm must deliver the same events (the layers
-  // are pure optimizations), and the alloc curve must fall monotonically to
-  // (near) zero — the broker hops allocate nothing in the passthrough arm;
-  // what remains is the subscriber-edge owning decode plus the publisher's
-  // per-event frame, both outside §9's claim.
+  // Deterministic gates. The broker hops allocate nothing; what remains
+  // per event is the subscriber-edge owning decode plus the publisher's
+  // per-event frame, both outside §9's claim: 7.4036 allocs/event at
+  // 10,000 events, under an absolute ceiling of 8.
+  constexpr double kPassthroughAllocCeiling = 8.0;
   bool ok = true;
-  for (const Arm& arm : arms) {
-    if (arm.deliveries != baseline.deliveries) {
-      std::cerr << "GATE: arm '" << arm.name << "' delivered "
-                << arm.deliveries << " != baseline " << baseline.deliveries
-                << "\n";
-      ok = false;
-    }
-  }
-  if (!(full.allocs_per_event < 0.5 * baseline.allocs_per_event)) {
-    std::cerr << "GATE: passthrough allocs/event (" << full.allocs_per_event
-              << ") not < 0.5x baseline (" << baseline.allocs_per_event
-              << ")\n";
-    ok = false;
-  }
-  if (arms[1].allocs_per_event >= baseline.allocs_per_event) {
-    std::cerr << "GATE: interned arm does not allocate less than baseline\n";
+  if (!(passthrough.allocs_per_event <= kPassthroughAllocCeiling)) {
+    std::cerr << "GATE: passthrough allocs/event ("
+              << passthrough.allocs_per_event << ") above the ceiling of "
+              << kPassthroughAllocCeiling << "\n";
     ok = false;
   }
   // Threaded arm: the hot path must survive the thread hop. The transport

@@ -1,19 +1,9 @@
 #include "cake/routing/broker.hpp"
 
 #include <algorithm>
-#include <cstdio>
-#include <cstdlib>
 #include <limits>
-#include <type_traits>
 
 namespace cake::routing {
-
-namespace {
-bool chaos_debug() {
-  static const bool on = std::getenv("CAKE_CHAOS_DEBUG") != nullptr;
-  return on;
-}
-}  // namespace
 
 Broker::Broker(sim::NodeId id, std::size_t stage, sim::Network& network,
                runtime::Transport& transport, const reflect::TypeRegistry& registry,
@@ -203,9 +193,9 @@ filter::ConjunctiveFilter Broker::weaken_for(const filter::ConjunctiveFilter& f,
 }
 
 void Broker::on_packet(sim::NodeId from, const sim::Network::Payload& payload) {
-  if (config_.borrowed_decode && packet_class(payload) == kEventPacketClass) {
-    // Steady-state fast path: match straight over the inbound frame, no
-    // owning decode, no Packet variant (DESIGN.md §9).
+  if (packet_class(payload) == kEventPacketClass) {
+    // Every event matches straight over the inbound frame: no owning
+    // decode, no Packet variant (DESIGN.md §9).
     try {
       handle_event_frame(from, payload);
     } catch (const wire::WireError&) {
@@ -220,25 +210,8 @@ void Broker::on_packet(sim::NodeId from, const sim::Network::Payload& payload) {
     ++stats_.malformed_packets;  // corrupt frame: drop, never crash a node
     return;
   }
-  if (!std::holds_alternative<EventMsg>(packet)) {
-    ++stats_.control_received;
-  } else if (journal_ != nullptr && !replaying_) {
-    // The owning-decode arm (borrowed_decode off) journals here; the fast
-    // path journals inside handle_event_frame, after frame validation.
-    journal_->append_event(payload);
-    ++stats_.events_journaled;
-  }
-  std::visit(
-      [this, from](auto&& msg) {
-        // Only the event path cares who sent the packet (trace spans link
-        // hops through the sender); control handlers keep their arity.
-        if constexpr (std::is_same_v<std::decay_t<decltype(msg)>, EventMsg>) {
-          handle(std::move(msg), from);
-        } else {
-          handle(std::move(msg));
-        }
-      },
-      std::move(packet));
+  ++stats_.control_received;
+  std::visit([this](auto&& msg) { handle(std::move(msg)); }, std::move(packet));
 }
 
 void Broker::handle(Advertise&& msg) {
@@ -320,15 +293,8 @@ void Broker::insert_subscriber(const Subscribe& msg) {
     replay_range_to(msg.subscriber, msg.replay_from);
   // A Resume that beat this durable re-join (post-restart) is served now
   // that the lease exists and the replay can match.
-  if (msg.durable && pending_resume_.erase(msg.subscriber) > 0) {
-    if (const auto cur = durable_cursor_.find(msg.subscriber);
-        cur != durable_cursor_.end()) {
-      detached_.erase(msg.subscriber);
-      replay_range_to(msg.subscriber, cur->second);
-      journal_->append_cursor_clear(msg.subscriber);
-      durable_cursor_.erase(cur);
-    }
-  }
+  if (msg.durable && pending_resume_.erase(msg.subscriber) > 0)
+    serve_cursor(msg.subscriber);
 }
 
 void Broker::insert_filter(filter::ConjunctiveFilter stored, sim::NodeId child,
@@ -432,42 +398,45 @@ void Broker::handle(Detach&& msg) {
 }
 
 void Broker::handle(Resume&& msg) {
-  if (journal_ != nullptr) {
-    if (const auto cur = durable_cursor_.find(msg.child);
-        cur != durable_cursor_.end()) {
-      if (!has_durable_lease(msg.child)) {
-        // Post-restart race: the cursor survived the crash but the lease
-        // table did not, and this subscriber has not re-joined yet. Serve
-        // the replay when its durable Subscribe lands (insert_subscriber).
-        pending_resume_.insert(msg.child);
-        return;
-      }
-      detached_.erase(msg.child);
-      replay_range_to(msg.child, cur->second);
-      journal_->append_cursor_clear(msg.child);
-      durable_cursor_.erase(cur);
-      const sim::Time expires = transport_.now() + 3 * config_.ttl;
-      for (auto& [fid, entry] : entries_) {
-        for (auto& lease : entry.leases) {
-          if (lease.child == msg.child &&
-              lease.expires == std::numeric_limits<sim::Time>::max())
-            lease.expires = expires;
-        }
-      }
+  if (journal_ != nullptr && durable_cursor_.contains(msg.child)) {
+    if (!has_durable_lease(msg.child)) {
+      // Post-restart race: the cursor survived the crash but the lease
+      // table did not, and this subscriber has not re-joined yet. Serve
+      // the replay when its durable Subscribe lands (insert_subscriber).
+      pending_resume_.insert(msg.child);
       return;
     }
+    serve_cursor(msg.child);
+    thaw_leases(msg.child);
+    return;
   }
   const auto it = detached_.find(msg.child);
   if (it == detached_.end()) return;
-  for (event::EventImage& image : it->second) {
-    send(msg.child, EventMsg{std::move(image)});
+  // The buffered frames are the publisher's bytes, so the subscriber sees
+  // the original event ids and publish stamps, exactly as if forwarded live.
+  const std::deque<sim::Network::Payload> backlog = std::move(it->second);
+  detached_.erase(it);
+  for (const sim::Network::Payload& payload : backlog) {
+    forward_event(msg.child, payload);
     ++stats_.events_replayed;
   }
-  detached_.erase(it);
+  thaw_leases(msg.child);
+}
+
+void Broker::serve_cursor(sim::NodeId child) {
+  const auto cur = durable_cursor_.find(child);
+  if (cur == durable_cursor_.end()) return;
+  detached_.erase(child);
+  replay_range_to(child, cur->second);
+  journal_->append_cursor_clear(child);
+  durable_cursor_.erase(cur);
+}
+
+void Broker::thaw_leases(sim::NodeId child) {
   const sim::Time expires = transport_.now() + 3 * config_.ttl;
   for (auto& [fid, entry] : entries_) {
     for (auto& lease : entry.leases) {
-      if (lease.child == msg.child &&
+      if (lease.child == child &&
           lease.expires == std::numeric_limits<sim::Time>::max())
         lease.expires = expires;
     }
@@ -483,9 +452,24 @@ bool Broker::has_durable_lease(sim::NodeId child) const {
   return false;
 }
 
-void Broker::handle(EventMsg&& msg, sim::NodeId from) {
-  ++stats_.events_received;
-  index_->match(msg.image, match_scratch_, scratch_);
+Broker::EventHeader Broker::read_header(wire::Reader& r) {
+  (void)r.u8();      // tag, already peeked by packet_class
+  (void)r.varint();  // published_at: the subscriber's, never a hop's
+  EventHeader header;
+  header.event_id = r.varint();
+  header.trace_id = r.varint();
+  return header;
+}
+
+Broker::EventHeader Broker::read_event(const sim::Network::Payload& payload) {
+  wire::Reader r{wire::unframe_once(payload)};
+  const EventHeader header = read_header(r);
+  image_scratch_.assign_view(r);  // borrows names and strings from `payload`
+  return header;
+}
+
+bool Broker::match_targets() {
+  index_->match(image_scratch_, match_scratch_, scratch_);
   target_scratch_.clear();
   for (const index::FilterId fid : match_scratch_) {
     const Entry& entry = entries_.at(fid);
@@ -495,37 +479,34 @@ void Broker::handle(EventMsg&& msg, sim::NodeId from) {
   target_scratch_.erase(
       std::unique(target_scratch_.begin(), target_scratch_.end()),
       target_scratch_.end());
-  if (tracer_ != nullptr && msg.trace_id != 0)
-    emit_trace_span(msg.trace_id, msg.image, from, !target_scratch_.empty());
-  if (target_scratch_.empty()) return;
+  return !target_scratch_.empty();
+}
+
+void Broker::fan_out(const sim::Network::Payload& payload) {
   ++stats_.events_matched;
   for (const sim::NodeId target : target_scratch_) {
     if (const auto buffer = detached_.find(target); buffer != detached_.end()) {
-      if (journal_ != nullptr) {
-        ++stats_.events_buffered;  // served from the log on Resume
-        continue;
+      // With a journal the frame is already logged and the detached
+      // subscriber's cursor replay serves it on Resume. Without one the
+      // buffer keeps the frame itself — a refcount, not a copy.
+      if (journal_ == nullptr) {
+        if (buffer->second.size() >= config_.durable_buffer_limit) {
+          buffer->second.pop_front();  // bound memory: drop the oldest
+          ++stats_.buffer_overflows;
+        }
+        buffer->second.push_back(payload);
       }
-      if (buffer->second.size() >= config_.durable_buffer_limit) {
-        buffer->second.pop_front();  // bound memory: drop the oldest
-        ++stats_.buffer_overflows;
-      }
-      buffer->second.push_back(msg.image);
       ++stats_.events_buffered;
       continue;
     }
-    forward_event(target, encode(msg));
+    forward_event(target, payload);  // refcount copy, zero bytes moved
     ++stats_.events_forwarded;
   }
 }
 
 void Broker::handle_event_frame(sim::NodeId from,
                                 const sim::Network::Payload& payload) {
-  wire::Reader r{wire::unframe_once(payload)};
-  (void)r.u8();  // tag, already peeked by packet_class
-  const sim::Time published_at = r.varint();
-  const std::uint64_t event_id = r.varint();
-  const std::uint64_t trace_id = r.varint();
-  image_scratch_.assign_view(r);  // borrows names and strings from `payload`
+  const EventHeader header = read_event(payload);
 
   // Journal the inbound frame *before* matching: the bytes already exist
   // (refcounted frame), so durability is one append of them — and a crash
@@ -537,53 +518,14 @@ void Broker::handle_event_frame(sim::NodeId from,
   }
 
   ++stats_.events_received;
-  index_->match(image_scratch_, match_scratch_, scratch_);
-  target_scratch_.clear();
-  for (const index::FilterId fid : match_scratch_) {
-    const Entry& entry = entries_.at(fid);
-    for (const auto& lease : entry.leases) target_scratch_.push_back(lease.child);
-  }
-  std::sort(target_scratch_.begin(), target_scratch_.end());
-  target_scratch_.erase(
-      std::unique(target_scratch_.begin(), target_scratch_.end()),
-      target_scratch_.end());
-  if (tracer_ != nullptr && trace_id != 0)
-    emit_trace_span(trace_id, image_scratch_, from, !target_scratch_.empty());
-  if (target_scratch_.empty()) {
-    if (chaos_debug())
-      std::fprintf(stderr, "[dbg] t=%llu broker=%u event=%llu NO-MATCH from=%u\n",
-                   (unsigned long long)transport_.now(), (unsigned)id_,
-                   (unsigned long long)event_id, (unsigned)from);
+  const bool matched = match_targets();
+  if (tracer_ != nullptr && header.trace_id != 0)
+    emit_trace_span(header.trace_id, image_scratch_, from, matched);
+  if (!matched) {
     if (config_.match_grace > 0) park_unmatched(payload);
     return;
   }
-  ++stats_.events_matched;
-  for (const sim::NodeId target : target_scratch_) {
-    if (const auto buffer = detached_.find(target); buffer != detached_.end()) {
-      if (journal_ != nullptr) {
-        // The frame is already in the journal; the detached subscriber's
-        // cursor replay serves it on Resume. No copy, no bounded buffer.
-        ++stats_.events_buffered;
-        continue;
-      }
-      // Never pass borrowed views into a buffer that outlives the frame:
-      // durable buffering takes an owning deep copy (§9 exclusion rule).
-      if (buffer->second.size() >= config_.durable_buffer_limit) {
-        buffer->second.pop_front();  // bound memory: drop the oldest
-        ++stats_.buffer_overflows;
-      }
-      buffer->second.push_back(image_scratch_.to_owned());
-      ++stats_.events_buffered;
-      continue;
-    }
-    if (config_.forward == ForwardMode::PassThrough) {
-      forward_event(target, payload);  // refcount copy, zero bytes moved
-    } else {
-      forward_event(target, encode_event_frame(image_scratch_, published_at,
-                                               event_id, trace_id));
-    }
-    ++stats_.events_forwarded;
-  }
+  fan_out(payload);
   // Recovery-window relay: a restarted broker's table can be *permanently*
   // missing leases for subscribers that re-homed elsewhere while it was
   // down — a frame that partially matches here forwards past the pen and
@@ -592,13 +534,8 @@ void Broker::handle_event_frame(sim::NodeId from,
   // the paths that already delivered, and the shared bounce budget stops a
   // stale parent lease from ping-ponging the frame.
   if (journal_ != nullptr && !replaying_ && parent_ != sim::kNoNode &&
-      transport_.now() < recovery_until_ && take_bounce_budget(event_id)) {
-    if (chaos_debug())
-      std::fprintf(stderr, "[dbg] t=%llu broker=%u RECOVERY-RELAY %llu\n",
-                   (unsigned long long)transport_.now(), (unsigned)id_,
-                   (unsigned long long)event_id);
+      transport_.now() < recovery_until_ && take_bounce_budget(header.event_id))
     link_.send_event(parent_, payload);
-  }
 }
 
 void Broker::emit_trace_span(std::uint64_t trace_id,
@@ -677,12 +614,10 @@ void Broker::resync_active() {
 }
 
 void Broker::send(sim::NodeId to, const Packet& packet) {
-  // Events are the sheddable link class; everything else is control and is
-  // never shed (losing a ReqInsert costs whole TTLs of soft-state repair).
-  if (std::holds_alternative<EventMsg>(packet))
-    link_.send_event(to, encode(packet));
-  else
-    link_.send_control(to, encode(packet));
+  // Only control travels here — events leave through forward_event — and
+  // control is never shed (losing a ReqInsert costs whole TTLs of
+  // soft-state repair).
+  link_.send_control(to, encode(packet));
 }
 
 void Broker::send_join_at(sim::NodeId subscriber, sim::NodeId target,
@@ -748,10 +683,6 @@ void Broker::do_reparent(std::uint64_t epoch) {
   // forever.
   prev_parent_ = old_parent;
   handover_mark_ = link_.tx_mark(parent_);
-  if (chaos_debug())
-    std::fprintf(stderr, "[dbg] t=%llu broker=%u REPARENT %u -> %u\n",
-                 (unsigned long long)transport_.now(), (unsigned)id_,
-                 (unsigned)old_parent, (unsigned)parent_);
   ++stats_.reparents;
   last_reparent_ = transport_.now();
   ++reparent_streak_;
@@ -764,10 +695,7 @@ void Broker::on_retransmit(sim::NodeId to, const sim::Network::Payload& payload)
   if (tracer_ == nullptr || packet_class(payload) != kEventPacketClass) return;
   try {
     wire::Reader r{wire::unframe_once(payload)};
-    (void)r.u8();      // tag
-    (void)r.varint();  // published_at
-    (void)r.varint();  // event_id
-    const std::uint64_t trace_id = r.varint();
+    const std::uint64_t trace_id = read_header(r).trace_id;
     if (trace_id == 0) return;
     trace::TraceSpan span;
     span.trace_id = trace_id;
@@ -812,10 +740,6 @@ void Broker::renew_task(std::uint64_t epoch) {
       // firing forever. If the death was a false positive, the old parent
       // re-syncs our rx stream on its next frame and subscriber event-id
       // dedup absorbs the transient re-delivery.
-      if (chaos_debug())
-        std::fprintf(stderr, "[dbg] t=%llu broker=%u HANDOVER-DONE prev=%u\n",
-                     (unsigned long long)transport_.now(), (unsigned)id_,
-                     (unsigned)prev_parent_);
       if (prev_parent_ != parent_) link_.forget(prev_parent_);
       prev_parent_ = sim::kNoNode;
     } else if (prev_parent_ != parent_) {
@@ -853,59 +777,18 @@ void Broker::pen_tick(std::uint64_t epoch) {
   const sim::Time now = transport_.now();
   std::deque<Parked> keep;
   for (Parked& parked : pen_) {
-    bool rescued = false;
     std::uint64_t event_id = 0;
     try {
-      wire::Reader r{wire::unframe_once(parked.payload)};
-      (void)r.u8();
-      const sim::Time published_at = r.varint();
-      event_id = r.varint();
-      const std::uint64_t trace_id = r.varint();
-      image_scratch_.assign_view(r);
-      index_->match(image_scratch_, match_scratch_, scratch_);
-      target_scratch_.clear();
-      for (const index::FilterId fid : match_scratch_) {
-        const Entry& entry = entries_.at(fid);
-        for (const auto& lease : entry.leases)
-          target_scratch_.push_back(lease.child);
-      }
-      std::sort(target_scratch_.begin(), target_scratch_.end());
-      target_scratch_.erase(
-          std::unique(target_scratch_.begin(), target_scratch_.end()),
-          target_scratch_.end());
-      if (!target_scratch_.empty()) {
-        rescued = true;
-        ++stats_.events_rescued;
-        ++stats_.events_matched;
-        for (const sim::NodeId target : target_scratch_) {
-          if (const auto buffer = detached_.find(target);
-              buffer != detached_.end()) {
-            if (journal_ != nullptr) {
-              ++stats_.events_buffered;  // served from the log on Resume
-              continue;
-            }
-            if (buffer->second.size() >= config_.durable_buffer_limit) {
-              buffer->second.pop_front();
-              ++stats_.buffer_overflows;
-            }
-            buffer->second.push_back(image_scratch_.to_owned());
-            ++stats_.events_buffered;
-            continue;
-          }
-          if (config_.forward == ForwardMode::PassThrough) {
-            forward_event(target, parked.payload);
-          } else {
-            forward_event(target,
-                          encode_event_frame(image_scratch_, published_at,
-                                             event_id, trace_id));
-          }
-          ++stats_.events_forwarded;
-        }
-      }
+      event_id = read_event(parked.payload).event_id;
     } catch (const wire::WireError&) {
       continue;  // cannot happen for a frame that decoded once; drop it
     }
-    if (!rescued && now - parked.parked_at < config_.match_grace) {
+    if (match_targets()) {
+      ++stats_.events_rescued;
+      fan_out(parked.payload);
+      continue;
+    }
+    if (now - parked.parked_at < config_.match_grace) {
       keep.push_back(std::move(parked));
       continue;
     }
@@ -922,24 +805,13 @@ void Broker::pen_tick(std::uint64_t epoch) {
     // heal can span several grace windows under sustained loss — while a
     // routine weakening false positive burns its budget and then drops
     // instead of circulating forever.
-    if (!rescued && journal_ != nullptr && take_bounce_budget(event_id)) {
-      if (chaos_debug())
-        std::fprintf(stderr, "[dbg] t=%llu broker=%u PEN-%s %llu\n",
-                     (unsigned long long)now, (unsigned)id_,
-                     parent_ != sim::kNoNode ? "BOUNCE" : "REPARK",
-                     (unsigned long long)event_id);
-      if (parent_ != sim::kNoNode) {
-        link_.send_event(parent_, parked.payload);
-      } else {
-        parked.parked_at = now;
-        keep.push_back(std::move(parked));
-      }
-      continue;
+    if (journal_ == nullptr || !take_bounce_budget(event_id)) continue;
+    if (parent_ != sim::kNoNode) {
+      link_.send_event(parent_, parked.payload);
+    } else {
+      parked.parked_at = now;
+      keep.push_back(std::move(parked));
     }
-    if (chaos_debug())
-      std::fprintf(stderr, "[dbg] t=%llu broker=%u PEN-%s\n",
-                   (unsigned long long)now, (unsigned)id_,
-                   rescued ? "RESCUE" : "EXPIRE");
   }
   pen_ = std::move(keep);
   if (pen_.empty()) {
@@ -987,10 +859,6 @@ void Broker::observe_child(sim::NodeId target, ChildHealth& ch) {
 void Broker::quarantine_child(sim::NodeId target, ChildHealth& ch) {
   ch.quarantined = true;
   ++stats_.children_quarantined;
-  if (chaos_debug())
-    std::fprintf(stderr, "[dbg] t=%llu broker=%u QUARANTINE child=%u depth=%zu\n",
-                 (unsigned long long)transport_.now(), (unsigned)id_,
-                 (unsigned)target, link_.queued_events(target));
   // Pull the backlog out of the link: the stream keeps only its in-flight
   // window and control traffic, so lease renewals toward the slow child
   // are never head-of-line blocked behind a wall of stalled events.
@@ -1033,10 +901,6 @@ void Broker::quarantine_tick(std::uint64_t epoch) {
     }
     if (ch.pen.empty() &&
         link_.queued_events(child) < config_.child_queue.low) {
-      if (chaos_debug())
-        std::fprintf(stderr, "[dbg] t=%llu broker=%u UNQUARANTINE child=%u\n",
-                     (unsigned long long)transport_.now(), (unsigned)id_,
-                     (unsigned)child);
       ch.quarantined = false;
       ch.health = health::QueueHealth{config_.child_queue};
       ch.above_since = 0;
@@ -1113,32 +977,20 @@ void Broker::replay_range_to(sim::NodeId child, std::uint64_t from) {
     const sim::Network::Payload payload{
         std::vector<std::byte>{rec.payload.begin(), rec.payload.end()}};
     try {
-      wire::Reader r{wire::unframe(payload)};
-      (void)r.u8();      // tag
-      (void)r.varint();  // published_at
-      (void)r.varint();  // event_id
-      (void)r.varint();  // trace_id
-      image_scratch_.assign_view(r);
-      index_->match(image_scratch_, match_scratch_, scratch_);
-      bool hit = false;
-      for (const index::FilterId fid : match_scratch_) {
-        for (const auto& lease : entries_.at(fid).leases) {
-          if (lease.child == child) {
-            hit = true;
-            break;
-          }
-        }
-        if (hit) break;
-      }
-      if (!hit) return;
-      // Pass-through serve: the journaled bytes are the frame the
-      // publisher built, so replay forwards are byte-identical to live
-      // ones and the subscriber's dedup treats them as the same event.
-      forward_event(child, payload);
-      ++stats_.events_replayed;
+      read_event(payload);
     } catch (const wire::WireError&) {
       ++stats_.malformed_packets;
+      return;
     }
+    if (!match_targets() ||
+        !std::binary_search(target_scratch_.begin(), target_scratch_.end(),
+                            child))
+      return;
+    // Pass-through serve: the journaled bytes are the frame the
+    // publisher built, so replay forwards are byte-identical to live
+    // ones and the subscriber's dedup treats them as the same event.
+    forward_event(child, payload);
+    ++stats_.events_replayed;
   });
 }
 
@@ -1158,12 +1010,7 @@ void Broker::reap_task(std::uint64_t epoch) {
   std::vector<index::FilterId> dead;
   for (auto& [fid, entry] : entries_) {
     std::erase_if(entry.leases, [&](const Lease& lease) {
-      if (lease.expires + lame_duck > now) return false;
-      if (chaos_debug())
-        std::fprintf(stderr, "[dbg] t=%llu broker=%u REAP lease child=%u\n",
-                     (unsigned long long)now, (unsigned)id_,
-                     (unsigned)lease.child);
-      return true;
+      return lease.expires + lame_duck <= now;
     });
     if (entry.leases.empty()) dead.push_back(fid);
   }

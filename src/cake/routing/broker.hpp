@@ -47,12 +47,6 @@ enum class Placement {
   Random,          ///< locality baseline of §4.2: random descent, no search
 };
 
-/// How a broker emits a matched event toward each child (DESIGN.md §9).
-enum class ForwardMode {
-  Reencode,     ///< serialize a fresh frame per forward (pre-§9 behaviour)
-  PassThrough,  ///< fan out the inbound refcounted frame unchanged
-};
-
 struct BrokerConfig {
   /// Lease bookkeeping (virtual microseconds). An entry lives for
   /// 3 × `ttl` past its last renewal; renewals run every `renew_interval`;
@@ -74,15 +68,8 @@ struct BrokerConfig {
   bool covering_collapse = false;
   /// Events buffered per detached durable subscriber before the oldest are
   /// dropped (§2.1 storing events for temporarily disconnected subscribers).
+  /// Without a journal the buffer holds the inbound frames themselves.
   std::size_t durable_buffer_limit = 1024;
-  /// Decode inbound EventMsg frames in place (string_views borrowed from the
-  /// packet buffer) instead of through the generic owning decoder. Off = the
-  /// allocation-heavy baseline, kept for A14's before/after arms.
-  bool borrowed_decode = true;
-  /// Pass-through is sound because the stored image is hop-invariant: every
-  /// hop forwards exactly the bytes the publisher framed (trace ids, event
-  /// ids and published_at all travel inside the frame, never per-hop).
-  ForwardMode forward = ForwardMode::PassThrough;
   /// Matching engine of the filter table. Counting is the indexed default;
   /// `Engine::Naive` is the Fig. 6 linear scan, kept as the reference and
   /// differential oracle (DESIGN.md §9).
@@ -307,7 +294,9 @@ private:
   void handle(Expired&&) {}  // subscriber-bound; ignored at brokers
   void handle(Detach&& msg);
   void handle(Resume&& msg);
-  void handle(EventMsg&& msg, sim::NodeId from);
+  // Event frames never reach the owning decode: on_packet routes them by
+  // class to handle_event_frame.
+  void handle(EventMsg&&) {}
   // Subscriber-bound messages are ignored if misrouted to a broker.
   void handle(JoinAt&&) {}
   void handle(AcceptedAt&&) {}
@@ -318,12 +307,28 @@ private:
   void handle(Heartbeat&&) {}
   void handle(Credit&&) {}
 
-  /// Zero-allocation event path (DESIGN.md §9): decodes the EventMsg frame
-  /// into `image_scratch_` with values borrowed from `payload`'s buffer,
-  /// matches, and fans the original frame (PassThrough) or a fresh
-  /// serialization (Reencode) to the matching children. Throws WireError on
-  /// corruption, like decode().
+  /// The one event path (DESIGN.md §9): reads the frame, journals it,
+  /// matches, and fans the original frame out to the matching children.
+  /// Throws WireError on corruption, like decode().
   void handle_event_frame(sim::NodeId from, const sim::Network::Payload& payload);
+  /// The per-hop fields of an EventMsg frame; published_at is skipped, it
+  /// matters only to the subscriber.
+  struct EventHeader {
+    std::uint64_t event_id = 0;
+    std::uint64_t trace_id = 0;
+  };
+  /// Reads the header of an unframed EventMsg, leaving `r` at the image.
+  static EventHeader read_header(wire::Reader& r);
+  /// Checks the frame (once per frame, `unframe_once`), reads its header
+  /// and borrows its image into `image_scratch_`; the views live as long as
+  /// `payload`. Throws WireError on corruption.
+  EventHeader read_event(const sim::Network::Payload& payload);
+  /// Matches `image_scratch_` and fills `target_scratch_` with the children
+  /// holding a matching lease, sorted and unique. True when there is any.
+  bool match_targets();
+  /// Sends `payload` to every child in `target_scratch_`, or buffers it for
+  /// a detached durable child.
+  void fan_out(const sim::Network::Payload& payload);
   void handle_wildcard(const Subscribe& msg);
   void insert_subscriber(const Subscribe& msg);
   /// Emits this hop's TraceSpan for a traced event (trace_id != 0):
@@ -336,6 +341,11 @@ private:
                      bool durable = false);
   /// True when `child` holds at least one durable lease here.
   [[nodiscard]] bool has_durable_lease(sim::NodeId child) const;
+  /// Replays the journal from `child`'s durable cursor, then retires the
+  /// cursor (in memory and in the log). No-op without a cursor.
+  void serve_cursor(sim::NodeId child);
+  /// Gives `child`'s leases frozen by Detach a fresh 3×TTL expiry.
+  void thaw_leases(sim::NodeId child);
   void remove_entry(index::FilterId fid);
   /// Builds (or rebuilds, on restart) the matching engine: the configured
   /// engine directly, or an AggregatedIndex wrapping it when aggregation
@@ -353,6 +363,7 @@ private:
   void submit_need(const filter::ConjunctiveFilter& parent_form);
   void drop_need(const filter::ConjunctiveFilter& parent_form);
   void resync_active();
+  /// Sends a control packet (never an event; see forward_event).
   void send(sim::NodeId to, const Packet& packet);
   void send_join_at(sim::NodeId subscriber, sim::NodeId target, std::uint64_t token);
   [[nodiscard]] sim::NodeId random_child();
@@ -461,8 +472,10 @@ private:
   std::unordered_map<filter::ConjunctiveFilter, std::size_t> needed_;  // refcounts
   std::unordered_set<filter::ConjunctiveFilter> active_;  // submitted upward
   util::StringMap<weaken::StageSchema> schemas_;
-  // Buffered events per detached durable subscriber, oldest first.
-  std::unordered_map<sim::NodeId, std::deque<event::EventImage>> detached_;
+  // Buffered event frames per detached durable subscriber, oldest first
+  // (refcounted, like the pens). Always empty with a journal attached: the
+  // durable cursor serves the log instead.
+  std::unordered_map<sim::NodeId, std::deque<sim::Network::Payload>> detached_;
   // Grace pen: zero-match frames awaiting a table heal, oldest first.
   // Payloads are refcounted, so parking is a pointer bump, not a copy.
   struct Parked {
@@ -497,8 +510,8 @@ private:
   index::MatchScratch scratch_;
   std::vector<index::FilterId> match_scratch_;
   std::vector<sim::NodeId> target_scratch_;
-  // Reused borrowed image for handle_event_frame; its string_views point
-  // into the payload being handled and die with the call.
+  // Reused borrowed image for read_event; its string_views point into the
+  // payload being handled and die with the call.
   event::EventImage image_scratch_;
 };
 

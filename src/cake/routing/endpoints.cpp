@@ -1,19 +1,10 @@
 #include "cake/routing/endpoints.hpp"
 
 #include <algorithm>
-#include <cstdio>
-#include <cstdlib>
 
 #include "cake/event/event.hpp"
 
 namespace cake::routing {
-
-namespace {
-bool chaos_debug() {
-  static const bool on = std::getenv("CAKE_CHAOS_DEBUG") != nullptr;
-  return on;
-}
-}  // namespace
 
 SubscriberNode::SubscriberNode(sim::NodeId id, sim::NodeId root,
                                sim::Network& network, runtime::Transport& transport,
@@ -71,10 +62,6 @@ void SubscriberNode::on_broker_down(sim::NodeId peer) {
   // its old session triggers a clean stream resync.
   link_.forget(peer);
   dead_hosts_.insert(peer);
-  if (chaos_debug())
-    std::fprintf(stderr, "[dbg] t=%llu sub=%u HOST-DEAD %u\n",
-                 (unsigned long long)transport_.now(), (unsigned)id_,
-                 (unsigned)peer);
   for (auto& [token, sub] : subs_) {
     if (!sub.parent.has_value() || *sub.parent != peer) continue;
     // Re-enter through the covering search at the root, like any rejoin —
@@ -160,19 +147,12 @@ void SubscriberNode::stall() {
   // budget, then queue — the hosting broker's slow-child detector fires on
   // that backlog. Control (renewals, ACKs) keeps flowing both ways.
   link_.set_credit_paused(true);
-  if (chaos_debug())
-    std::fprintf(stderr, "[dbg] t=%llu sub=%u STALL\n",
-                 (unsigned long long)transport_.now(), (unsigned)id_);
 }
 
 void SubscriberNode::unstall() {
   if (!stalled_) return;
   stalled_ = false;
   link_.set_credit_paused(false);
-  if (chaos_debug())
-    std::fprintf(stderr, "[dbg] t=%llu sub=%u UNSTALL parked=%zu\n",
-                 (unsigned long long)transport_.now(), (unsigned)id_,
-                 stall_inbox_.size());
   // Drain through the normal delivery path; swap first so a re-entrant
   // stall() mid-drain parks into a fresh inbox instead of this loop.
   std::deque<std::pair<sim::NodeId, sim::Network::Payload>> parked;
@@ -273,19 +253,11 @@ void SubscriberNode::on_packet(sim::NodeId from,
     // The accepting broker has served any requested replay; clear it so
     // renewals, rejoins and duplicate-accept retries never re-request it.
     it->second.replay_from = kNoReplay;
-    if (chaos_debug())
-      std::fprintf(stderr, "[dbg] t=%llu sub=%u ACCEPTED-AT %u token=%llu\n",
-                   (unsigned long long)transport_.now(), (unsigned)id_,
-                   (unsigned)accepted->node, (unsigned long long)accepted->token);
     sync_watches();
     return;
   }
 
   if (auto* expired = std::get_if<Expired>(&packet)) {
-    if (chaos_debug())
-      std::fprintf(stderr, "[dbg] t=%llu sub=%u EXPIRED from=%u\n",
-                   (unsigned long long)transport_.now(), (unsigned)id_,
-                   (unsigned)from);
     if (!config_.rejoin_on_expired) return;  // injected completeness bug
     // A hosting broker reaped our lease (lost renewals, partition healed):
     // re-run the join protocol for the affected subscriptions.

@@ -127,8 +127,7 @@ using Packet = std::variant<Advertise, Subscribe, JoinAt, AcceptedAt,
 
 /// Serializes an EventMsg-class packet straight into a pooled, refcounted
 /// frame — byte-identical to `encode(EventMsg{...})` but without the
-/// payload copy or fresh buffer. `image` may be a borrowed image (the
-/// broker's re-encode arm writes straight from the inbound view).
+/// payload copy or fresh buffer. `image` may be a borrowed image.
 [[nodiscard]] sim::Network::Payload encode_event_frame(
     const event::EventImage& image, sim::Time published_at,
     std::uint64_t event_id, std::uint64_t trace_id);

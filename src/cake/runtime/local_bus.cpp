@@ -4,29 +4,13 @@
 
 namespace cake::runtime {
 
-namespace {
-
-std::unique_ptr<index::MatchIndex> make_bus_index(
-    const BusOptions& options, const reflect::TypeRegistry& registry) {
-  if (options.serialize_matching)
-    return index::make_index(options.engine, registry);
-  return std::make_unique<index::ShardedIndex>(options.engine, registry,
-                                               options.shards);
-}
-
-}  // namespace
-
 LocalBus::LocalBus(index::Engine engine, const reflect::TypeRegistry& registry)
     : LocalBus(BusOptions{.engine = engine}, registry) {}
 
 LocalBus::LocalBus(const BusOptions& options,
                    const reflect::TypeRegistry& registry)
     : registry_(registry),
-      serialize_matching_(options.serialize_matching),
-      index_(make_bus_index(options, registry)),
-      sharded_(serialize_matching_
-                   ? nullptr
-                   : static_cast<index::ShardedIndex*>(index_.get())) {}
+      index_(options.engine, registry, options.shards) {}
 
 LocalBus::Token LocalBus::subscribe(filter::ConjunctiveFilter filter,
                                     Handler handler, Predicate predicate) {
@@ -38,16 +22,8 @@ LocalBus::Token LocalBus::subscribe(filter::ConjunctiveFilter filter,
   subscription->predicate = std::move(predicate);
 
   std::unique_lock table_lock{table_mutex_};
-  index::FilterId fid;
-  if (serialize_matching_) {
-    // Single-table engines need the match lock: no publish may be walking
-    // the index while it mutates.
-    std::lock_guard match_lock{serial_match_mutex_};
-    fid = index_->add(std::move(filter));
-  } else {
-    // The sharded engine locks the affected shard(s) internally.
-    fid = index_->add(std::move(filter));
-  }
+  // The sharded engine locks the affected shard(s) internally.
+  const index::FilterId fid = index_.add(std::move(filter));
   subs_.emplace(fid, std::move(subscription));
   const Token token = next_token_++;
   by_token_.emplace(token, fid);
@@ -65,12 +41,7 @@ void LocalBus::unsubscribe(Token token) {
     sub->second->active.store(false, std::memory_order_release);
     subs_.erase(sub);
   }
-  if (serialize_matching_) {
-    std::lock_guard match_lock{serial_match_mutex_};
-    index_->remove(fid);
-  } else {
-    index_->remove(fid);
-  }
+  index_.remove(fid);
   subscription_count_.store(subs_.size(), std::memory_order_relaxed);
 }
 
@@ -93,12 +64,7 @@ std::size_t LocalBus::publish(const event::Event& event) {
     std::shared_lock table_lock{table_mutex_};
     thread_local index::MatchScratch scratch;
     thread_local std::vector<index::FilterId> matched;
-    if (serialize_matching_) {
-      std::lock_guard match_lock{serial_match_mutex_};
-      index_->match(image, matched, scratch);
-    } else {
-      index_->match(image, matched, scratch);
-    }
+    index_.match(image, matched, scratch);
     targets.reserve(matched.size());
     for (const index::FilterId fid : matched) {
       const auto it = subs_.find(fid);
@@ -127,10 +93,6 @@ BusStats LocalBus::stats() const {
   return BusStats{events_published_.read(), events_matched_.read(),
                   deliveries_.read(),
                   subscription_count_.load(std::memory_order_relaxed)};
-}
-
-std::vector<index::ShardStats> LocalBus::shard_stats() const {
-  return sharded_ ? sharded_->shard_stats() : std::vector<index::ShardStats>{};
 }
 
 }  // namespace cake::runtime

@@ -31,7 +31,6 @@
 
 #include <atomic>
 #include <memory>
-#include <mutex>
 #include <shared_mutex>
 
 #include "cake/index/sharded.hpp"
@@ -54,9 +53,6 @@ struct BusOptions {
   index::Engine engine = index::Engine::Counting;
   /// Shard count; 0 = auto-size to the hardware (see ShardedIndex).
   std::size_t shards = 0;
-  /// Pre-sharding baseline: one un-sharded engine behind a single global
-  /// match mutex. Kept for A/B measurement (bench_concurrency) only.
-  bool serialize_matching = false;
 };
 
 class LocalBus {
@@ -119,14 +115,15 @@ public:
 
   [[nodiscard]] BusStats stats() const;
 
-  /// Per-shard match counters (empty in the serialized baseline mode).
-  [[nodiscard]] std::vector<index::ShardStats> shard_stats() const;
+  /// Per-shard match counters.
+  [[nodiscard]] std::vector<index::ShardStats> shard_stats() const {
+    return index_.shard_stats();
+  }
 
   /// Shard this event class's filters live in — the pipeline pins it to a
   /// transport lane so one class's matching always runs on one worker.
-  /// Always 0 in the serialized baseline mode (one table, one "shard").
   [[nodiscard]] std::size_t shard_of(std::string_view type_name) const {
-    return sharded_ ? sharded_->shard_of(type_name) : 0;
+    return index_.shard_of(type_name);
   }
 
 private:
@@ -138,12 +135,7 @@ private:
 
   const reflect::TypeRegistry& registry_;
   mutable std::shared_mutex table_mutex_;  // protects subs_ and token maps
-  // Serialized-baseline mode only: the old single global match lock. In
-  // sharded mode (the default) matching is synchronized inside index_.
-  const bool serialize_matching_;
-  std::mutex serial_match_mutex_;
-  std::unique_ptr<index::MatchIndex> index_;
-  index::ShardedIndex* sharded_ = nullptr;  // index_ downcast, sharded mode
+  index::ShardedIndex index_;  // synchronizes matching per shard internally
   std::unordered_map<index::FilterId, std::shared_ptr<Subscription>> subs_;
   Token next_token_ = 1;
   std::unordered_map<Token, index::FilterId> by_token_;

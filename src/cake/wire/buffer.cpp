@@ -1,13 +1,10 @@
 #include "cake/wire/buffer.hpp"
 
-#include <atomic>
 #include <utility>
 
 namespace cake::wire {
 
 namespace {
-
-std::atomic<bool> g_pooling{true};
 
 // Thread-local free lists: each thread returns buffers and holder nodes to
 // its own pool, so cross-thread Frame destruction is safe without locks.
@@ -21,29 +18,17 @@ std::vector<std::vector<std::byte>>& pool() {
 
 }  // namespace
 
-void set_buffer_pooling(bool enabled) noexcept {
-  g_pooling.store(enabled, std::memory_order_relaxed);
-}
-
-bool buffer_pooling() noexcept {
-  return g_pooling.load(std::memory_order_relaxed);
-}
-
 std::vector<std::byte> acquire_buffer() {
-  if (buffer_pooling()) {
-    auto& p = pool();
-    if (!p.empty()) {
-      std::vector<std::byte> buf = std::move(p.back());
-      p.pop_back();
-      buf.clear();
-      return buf;
-    }
-  }
-  return {};
+  auto& p = pool();
+  if (p.empty()) return {};
+  std::vector<std::byte> buf = std::move(p.back());
+  p.pop_back();
+  buf.clear();
+  return buf;
 }
 
 void release_buffer(std::vector<std::byte>&& buf) noexcept {
-  if (!buffer_pooling() || buf.capacity() == 0) return;
+  if (buf.capacity() == 0) return;
   auto& p = pool();
   if (p.size() >= kMaxPooled) return;  // excess capacity is just freed
   p.push_back(std::move(buf));
@@ -68,16 +53,14 @@ std::vector<detail::FrameHolder*>& holder_pool() {
 }  // namespace
 
 detail::FrameHolder* Frame::make_holder(std::vector<std::byte> buf) {
-  if (buffer_pooling()) {
-    auto& p = holder_pool();
-    if (!p.empty()) {
-      Holder* h = p.back();
-      p.pop_back();
-      h->buf = std::move(buf);
-      h->refs.store(1, std::memory_order_relaxed);
-      h->verified.store(false, std::memory_order_relaxed);
-      return h;
-    }
+  auto& p = holder_pool();
+  if (!p.empty()) {
+    Holder* h = p.back();
+    p.pop_back();
+    h->buf = std::move(buf);
+    h->refs.store(1, std::memory_order_relaxed);
+    h->verified.store(false, std::memory_order_relaxed);
+    return h;
   }
   Holder* h = new Holder;
   h->buf = std::move(buf);
@@ -90,12 +73,10 @@ void Frame::release(Holder* h) noexcept {
   if (h->refs.fetch_sub(1, std::memory_order_acq_rel) != 1) return;
   release_buffer(std::move(h->buf));
   h->buf = {};
-  if (buffer_pooling()) {
-    auto& p = holder_pool();
-    if (p.size() < kMaxPooled) {
-      p.push_back(h);
-      return;
-    }
+  auto& p = holder_pool();
+  if (p.size() < kMaxPooled) {
+    p.push_back(h);
+    return;
   }
   delete h;
 }

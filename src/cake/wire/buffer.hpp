@@ -48,14 +48,8 @@ class Frame;
 /// wire.cpp.
 [[nodiscard]] std::span<const std::byte> unframe_once(const Frame& framed);
 
-/// Globally enables/disables buffer pooling (default on). Exists for the
-/// A14 bench arms; pooling off means acquire/release degrade to plain
-/// vector allocation.
-void set_buffer_pooling(bool enabled) noexcept;
-[[nodiscard]] bool buffer_pooling() noexcept;
-
 /// An empty vector with warm capacity from the thread-local pool (or a
-/// fresh one when the pool is empty / pooling is off).
+/// fresh one when the pool is empty).
 [[nodiscard]] std::vector<std::byte> acquire_buffer();
 
 /// Returns a buffer's capacity to the thread-local pool (bounded; excess

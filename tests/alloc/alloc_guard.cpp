@@ -202,12 +202,11 @@ TEST(AllocGuard, ReliableForwardPathIsAllocationFree) {
   EXPECT_EQ(sink.counters().duplicates_suppressed, 0u);
 }
 
-// Re-encode mode decodes without allocating and pooling recycles both the
-// byte buffers and the intrusive refcount holder nodes, so even minting a
-// fresh frame per forward is allocation-free in steady state. (This used to
-// cost one shared_ptr control block per frame; the intrusive pooled holder
-// removed it — the link layer needs standalone ACK encodes to be free.)
-TEST(AllocGuard, ReencodeForwardWithPoolingCostsOneRefcountBlock) {
+// Pooling recycles both the byte buffers and the intrusive refcount holder
+// nodes, so minting a fresh frame per event — as a publisher does — and
+// forwarding it through a broker is allocation-free in steady state. The
+// link layer relies on the same pools for its standalone ACK encodes.
+TEST(AllocGuard, FreshEventFramePerEventRecyclesBuffersAndHolders) {
   workload::ensure_types_registered();
   const auto& registry = reflect::TypeRegistry::global();
 
@@ -217,7 +216,6 @@ TEST(AllocGuard, ReencodeForwardWithPoolingCostsOneRefcountBlock) {
 
   routing::BrokerConfig config;
   config.auto_renew = false;
-  config.forward = routing::ForwardMode::Reencode;
   routing::Broker broker{1, 1, network, transport, registry, config,
                          util::Rng{7}};
   broker.start();
@@ -229,21 +227,23 @@ TEST(AllocGuard, ReencodeForwardWithPoolingCostsOneRefcountBlock) {
   scheduler.run();
 
   workload::BiblioGenerator gen{{}, 2002};
-  const sim::Network::Payload frame =
-      routing::encode_event_frame(gen.next_event(), 0, 1, 0);
+  const event::EventImage image = gen.next_event();
+  std::uint64_t event_id = 0;
 
   for (int i = 0; i < 64; ++i) {
-    network.send(0, 1, frame);
+    network.send(0, 1, routing::encode_event_frame(image, 0, ++event_id, 0));
     scheduler.run();
   }
+  const std::uint64_t forwarded_before = broker.stats().events_forwarded;
 
   const std::uint64_t before = news();
   for (int i = 0; i < 512; ++i) {
-    network.send(0, 1, frame);
+    network.send(0, 1, routing::encode_event_frame(image, 0, ++event_id, 0));
     scheduler.run();
   }
   EXPECT_EQ(news() - before, 0u)
-      << "pooled re-encode should recycle buffers and holder nodes alike";
+      << "a fresh frame per event should recycle buffers and holder nodes";
+  EXPECT_EQ(broker.stats().events_forwarded, forwarded_before + 512);
 }
 
 // LocalBus::publish: the typed event -> image extraction reuses a

@@ -170,18 +170,17 @@ TEST(ShardedIndexConcurrency, MatchersSeeStableFiltersDuringChurn) {
 // subscription must end up with exactly the events its filter selects —
 // each one exactly once.
 
-class ConcurrentBusTest : public ::testing::TestWithParam<bool /*serialized*/> {
+class ConcurrentBusTest : public ::testing::Test {
 protected:
   static runtime::BusOptions options() {
     runtime::BusOptions options;
     options.engine = index::Engine::Counting;
     options.shards = 8;
-    options.serialize_matching = GetParam();
     return options;
   }
 };
 
-TEST_P(ConcurrentBusTest, StressNoLostOrDuplicatedDeliveries) {
+TEST_F(ConcurrentBusTest, StressNoLostOrDuplicatedDeliveries) {
   workload::ensure_types_registered();
   runtime::LocalBus bus{options()};
 
@@ -294,21 +293,19 @@ TEST_P(ConcurrentBusTest, StressNoLostOrDuplicatedDeliveries) {
 
   EXPECT_EQ(bus.stats().events_published,
             std::uint64_t{kPublishers} * kEventsPerPublisher);
-  if (!GetParam()) {
-    // Observability invariant: every publish consulted exactly one shard.
-    const auto shards = bus.shard_stats();
-    const std::uint64_t matches = std::accumulate(
-        shards.begin(), shards.end(), std::uint64_t{0},
-        [](std::uint64_t acc, const index::ShardStats& s) {
-          return acc + s.matches;
-        });
-    EXPECT_EQ(matches, bus.stats().events_published);
-  }
+  // Observability invariant: every publish consulted exactly one shard.
+  const auto shards = bus.shard_stats();
+  const std::uint64_t matches = std::accumulate(
+      shards.begin(), shards.end(), std::uint64_t{0},
+      [](std::uint64_t acc, const index::ShardStats& s) {
+        return acc + s.matches;
+      });
+  EXPECT_EQ(matches, bus.stats().events_published);
 }
 
 // subscribe() and unsubscribe() must be immediately effective for the
 // calling thread even while other threads publish into the same shard.
-TEST_P(ConcurrentBusTest, SubscribeUnsubscribeLinearizeAgainstOwnPublishes) {
+TEST_F(ConcurrentBusTest, SubscribeUnsubscribeLinearizeAgainstOwnPublishes) {
   workload::ensure_types_registered();
   runtime::LocalBus bus{options()};
 
@@ -339,11 +336,6 @@ TEST_P(ConcurrentBusTest, SubscribeUnsubscribeLinearizeAgainstOwnPublishes) {
   for (auto& thread : threads) thread.join();
   EXPECT_EQ(failures.load(), 0);
 }
-
-INSTANTIATE_TEST_SUITE_P(Modes, ConcurrentBusTest, ::testing::Values(false, true),
-                         [](const auto& info) {
-                           return info.param ? "SerializedBaseline" : "Sharded";
-                         });
 
 }  // namespace
 }  // namespace cake

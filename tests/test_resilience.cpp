@@ -358,6 +358,88 @@ TEST(Durable, BufferOverflowDropsOldest) {
   EXPECT_EQ(titles, (std::vector<std::string>{"c", "d"}));  // oldest dropped
 }
 
+// Without a journal the broker buffers a detached durable subscriber's
+// events itself. Reliable links turn on the subscriber's event-id dedup, so
+// the replay must carry the publisher's frames — original event ids and
+// publish stamps — or every buffered event after the first looks like a
+// duplicate and the delivery latency is measured from time zero.
+TEST(Durable, ReliableResumeWithoutJournalReplaysTheOriginalFrames) {
+  OverlayConfig config = fast_ttl_config();
+  config.link.reliability = link::Reliability::Reliable;
+  Fx fx{config};
+  auto& sub = fx.overlay.add_subscriber();
+  std::vector<std::string> titles;
+  sub.subscribe(FilterBuilder{"Publication"}
+                    .where("year", Op::Eq, Value{2002})
+                    .build(),
+                [&](const EventImage& e) {
+                  titles.push_back(e.find("title")->as_string());
+                },
+                {}, /*durable=*/true);
+  fx.overlay.run();
+  sub.detach();
+  fx.overlay.run();
+  ASSERT_TRUE(sub.detached());
+
+  const sim::Time first_publish = fx.overlay.scheduler().now();
+  for (const char* title : {"while-1", "while-2", "while-3"})
+    fx.publisher->publish(pub_event(2002, "ICDCS", "Eugster", title));
+  fx.overlay.run();
+  EXPECT_TRUE(titles.empty());  // nothing delivered while detached
+
+  sub.resume();
+  fx.overlay.run();
+  EXPECT_EQ(titles,
+            (std::vector<std::string>{"while-1", "while-2", "while-3"}));
+  const sim::Time elapsed = fx.overlay.scheduler().now() - first_publish;
+  EXPECT_LT(sub.delivery_latency().max(), static_cast<double>(elapsed));
+}
+
+// A detached subscriber with two durable subscriptions is one buffer target:
+// an event matching both is held once and, on Resume, reaches each handler
+// once — the same fan-out a live subscriber gets.
+TEST(Durable, EventMatchingTwoDurableSubscriptionsIsBufferedOnce) {
+  OverlayConfig config = fast_ttl_config();
+  config.stage_counts = {1};  // single root: every lease lives there
+  Fx fx{config};
+  auto& sub = fx.overlay.add_subscriber();
+  std::vector<std::string> by_year, by_conference;
+  sub.subscribe(FilterBuilder{"Publication"}
+                    .where("year", Op::Eq, Value{2002})
+                    .build(),
+                [&](const EventImage& e) {
+                  by_year.push_back(e.find("title")->as_string());
+                },
+                {}, /*durable=*/true);
+  sub.subscribe(FilterBuilder{"Publication"}
+                    .where("conference", Op::Eq, Value{"ICDCS"})
+                    .build(),
+                [&](const EventImage& e) {
+                  by_conference.push_back(e.find("title")->as_string());
+                },
+                {}, /*durable=*/true);
+  fx.overlay.run();
+  sub.detach();
+  fx.overlay.run();
+  ASSERT_TRUE(sub.detached());
+
+  fx.publisher->publish(pub_event(2002, "ICDCS", "Eugster", "both"));
+  fx.publisher->publish(pub_event(2002, "SOSP", "Eugster", "year-only"));
+  fx.publisher->publish(pub_event(1999, "ICDCS", "Eugster", "conf-only"));
+  fx.publisher->publish(pub_event(1999, "SOSP", "Eugster", "neither"));
+  fx.overlay.run();
+  EXPECT_TRUE(by_year.empty());
+  EXPECT_TRUE(by_conference.empty());
+
+  sub.resume();
+  fx.overlay.run();
+  EXPECT_EQ(by_year, (std::vector<std::string>{"both", "year-only"}));
+  EXPECT_EQ(by_conference, (std::vector<std::string>{"both", "conf-only"}));
+  EXPECT_EQ(sub.stats().events_received, 3u);
+  EXPECT_EQ(fx.overlay.root().stats().events_buffered, 3u);
+  EXPECT_EQ(fx.overlay.root().stats().events_replayed, 3u);
+}
+
 // ---- composite subscriptions -------------------------------------------------
 
 TEST(Composite, HandlerFiresOncePerMatchingEvent) {

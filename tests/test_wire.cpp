@@ -218,7 +218,6 @@ TEST(Wire, UnframeOnceNeverMemoizesAFailedCheck) {
 }
 
 TEST(Wire, RecycledFrameHolderStartsUnverified) {
-  ASSERT_TRUE(buffer_pooling());
   std::vector<std::byte> bad_bytes;
   {
     const Frame good = pooled_frame("payload");
