@@ -43,6 +43,10 @@
 
 namespace cake::index {
 
+/// Groups examined per rebalance() call (the broker runs one call per
+/// renew tick) — the incremental re-clustering pass.
+inline constexpr std::size_t kRebalanceBudget = 32;
+
 /// Aggregation knobs (BrokerConfig embeds one; disabled by default, in
 /// which case brokers build their engine directly and nothing changes).
 struct AggregateConfig {
@@ -60,9 +64,6 @@ struct AggregateConfig {
   /// Candidate groups examined per insert (most-recently-merged first), and
   /// per group during a rebalance step. Bounds insert cost under churn.
   std::size_t probe_limit = 8;
-  /// Groups examined per rebalance() call (the broker runs one call per
-  /// renew tick) — the incremental re-clustering pass. 0 disables it.
-  std::size_t rebalance_budget = 32;
   /// Test knob: skip representative re-derivation on member removal. The
   /// stale (wider) rep stays sound but breaks the canonical-representative
   /// invariant — proof that the fuzz test's fixpoint check bites.

@@ -78,7 +78,9 @@ LinkManager::LinkManager(sim::NodeId id, sim::Network& network,
       network_(network),
       transport_(transport),
       options_(options),
-      rng_(seed) {
+      rng_(seed),
+      heartbeat_(transport, options.heartbeat_interval,
+                 [this] { heartbeat_tick(); }) {
   // Below 2, an idle-but-healthy peer would be declared dead on its first
   // silent interval before any ping could possibly draw a reply — a
   // guaranteed false positive on every idle link.
@@ -98,7 +100,7 @@ void LinkManager::attach(Deliver deliver) {
       id_, sim::Network::TaggedHandler{
                [this](sim::NodeId from, const Payload& p,
                       const sim::LinkTag& tag) { on_network(from, p, tag); }});
-  arm_heartbeat();
+  if (!heartbeat_.running()) heartbeat_.start();
 }
 
 void LinkManager::detach() {
@@ -467,7 +469,7 @@ void LinkManager::send_nack(sim::NodeId peer, RxState& rx,
                             std::uint64_t missing) {
   const sim::Time now = transport_.now();
   if (rx.last_nacked == missing &&
-      now < rx.last_nack_time + options_.nack_min_gap)
+      now < rx.last_nack_time + kNackMinGap)
     return;
   rx.last_nacked = missing;
   rx.last_nack_time = now;
@@ -538,7 +540,7 @@ sim::Time LinkManager::rto(const TxState& tx) {
   for (std::uint32_t i = 0; i < tx.backoff && base < options_.rto_max; ++i)
     base *= 2;
   base = std::min(base, options_.rto_max);
-  const sim::Time spread = base * options_.rto_jitter_permille / 1000;
+  const sim::Time spread = base * kRtoJitterPermille / 1000;
   return base + (spread > 0 ? rng_.below(spread + 1) : 0);
 }
 
@@ -548,7 +550,7 @@ void LinkManager::watch(sim::NodeId peer) {
   w.dead = false;
   w.misses = 0;
   w.last_heard = transport_.now();  // grace period starts now
-  arm_heartbeat();
+  if (reliable() && !heartbeat_.running()) heartbeat_.start();
 }
 
 void LinkManager::unwatch(sim::NodeId peer) {
@@ -566,16 +568,11 @@ std::uint32_t LinkManager::heartbeat_misses(sim::NodeId peer) const noexcept {
   return it == watches_.end() ? 0 : it->second.misses;
 }
 
-void LinkManager::arm_heartbeat() {
-  if (heartbeat_armed_ || !reliable()) return;
-  heartbeat_armed_ = true;
-  transport_.schedule_background_after(options_.heartbeat_interval,
-                                       [this] { heartbeat_tick(); });
-}
-
 void LinkManager::heartbeat_tick() {
-  heartbeat_armed_ = false;
-  if (detached_) return;
+  if (detached_) {
+    heartbeat_.stop();
+    return;
+  }
   const sim::Time now = transport_.now();
   std::vector<sim::NodeId> ping;
   std::vector<sim::NodeId> dead;
@@ -602,7 +599,6 @@ void LinkManager::heartbeat_tick() {
         id_, peer,
         frame_control(kHeartbeatTag, Heartbeat{0, next_nonce_++, false}));
   }
-  arm_heartbeat();
   // Callbacks run last: a peer-down handler may watch/unwatch/forget, which
   // mutates the map this tick just walked.
   for (const sim::NodeId peer : dead) {

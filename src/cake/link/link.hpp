@@ -40,6 +40,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "cake/runtime/background.hpp"
 #include "cake/runtime/transport.hpp"
 #include "cake/sim/sim.hpp"
 #include "cake/util/rng.hpp"
@@ -117,9 +118,6 @@ struct LinkOptions {
   /// does, and a flapping link must recover faster than the failure
   /// detector gives up on it.
   sim::Time rto_max = 64'000;
-  /// Deterministic jitter added to each RTO: uniform in
-  /// [0, rto * permille / 1000], drawn from the manager's seeded Rng.
-  std::uint32_t rto_jitter_permille = 250;
   /// Max unacknowledged frames per peer before sends queue.
   std::size_t window = 64;
   /// Max queued-behind-the-window frames per peer before the shed policy
@@ -127,8 +125,6 @@ struct LinkOptions {
   std::size_t queue_limit = 1024;
   /// Standalone-ACK flush delay (piggybacking on reverse traffic cancels it).
   sim::Time ack_delay = 2'000;
-  /// Minimum spacing of gap NACKs per peer.
-  sim::Time nack_min_gap = 8'000;
   /// Watched peers silent for a full interval accrue one miss.
   sim::Time heartbeat_interval = 200'000;
   /// Dead at exactly this many consecutive misses. Clamped to >= 2 at
@@ -197,7 +193,8 @@ public:
   /// best-effort installs `deliver` directly.
   void attach(Deliver deliver);
   /// Detaches from the network (crash). Per-peer state freezes; timers go
-  /// dormant.
+  /// dormant. The heartbeat stops at its next tick, so a re-attach within
+  /// one interval keeps its phase.
   void detach();
   /// Clears every stream and watch (cold restart has no disk). Fresh
   /// streams get new session ids, so peers discard stale state on contact.
@@ -355,7 +352,6 @@ private:
   void arm_retransmit(sim::NodeId peer, TxState& tx);
   void on_retransmit_timer(sim::NodeId peer);
   [[nodiscard]] sim::Time rto(const TxState& tx);
-  void arm_heartbeat();
   void heartbeat_tick();
   void handle_ack(sim::NodeId from, wire::Reader& r);
   void handle_nack(sim::NodeId from, wire::Reader& r);
@@ -363,6 +359,12 @@ private:
   void handle_credit(sim::NodeId from, wire::Reader& r);
   [[nodiscard]] Payload frame_control(std::uint8_t tag,
                                       const auto& fields) const;
+
+  /// Deterministic jitter added to each RTO: uniform in
+  /// [0, rto * permille / 1000], drawn from the manager's seeded Rng.
+  static constexpr std::uint32_t kRtoJitterPermille = 250;
+  /// Minimum spacing of gap NACKs per peer.
+  static constexpr sim::Time kNackMinGap = 8'000;
 
   sim::NodeId id_;
   sim::Network& network_;
@@ -373,7 +375,6 @@ private:
   PeerDown peer_down_;
   RetransmitProbe retransmit_probe_;
   bool detached_ = true;
-  bool heartbeat_armed_ = false;
   bool credit_paused_ = false;
   std::uint32_t next_session_ = 1;  // unique per stream this node originates
   std::uint64_t next_nonce_ = 1;
@@ -381,6 +382,7 @@ private:
   std::unordered_map<sim::NodeId, RxState> rx_;
   std::unordered_map<sim::NodeId, WatchState> watches_;
   LinkCounters counters_;
+  runtime::PeriodicTask heartbeat_;
 };
 
 }  // namespace cake::link

@@ -20,7 +20,13 @@ Broker::Broker(sim::NodeId id, std::size_t stage, sim::Network& network,
       // would shift the placement stream and change best-effort runs.
       link_(id, network, transport, config.link,
             (static_cast<std::uint64_t>(id) + 1) * 0x9e3779b97f4a7c15ULL),
-      journal_sync_(transport) {
+      journal_sync_(transport, kJournalSyncInterval,
+                    [this] { journal_->sync(); }),
+      renew_(transport, config.renew_interval, [this] { renew_task(); }),
+      reap_(transport, config.reap_interval, [this] { reap_task(); }),
+      pen_task_(transport, config.match_grace / 4, [this] { pen_tick(); }),
+      quarantine_task_(transport, config.quarantine_drain_interval,
+                       [this] { quarantine_tick(); }) {
   if (stage_ == 0)
     throw std::invalid_argument{"Broker: stage 0 is the subscriber level"};
   build_index();
@@ -62,7 +68,11 @@ void Broker::on_group_update(const index::AggregatedIndex::GroupUpdate& update) 
 
 void Broker::start() {
   attach_to_network();
-  schedule_tasks();
+  // Journal flushing is a background chore, never an event-path cost.
+  if (journal_ != nullptr) journal_sync_.start();
+  if (!config_.auto_renew) return;
+  renew_.start();
+  reap_.start();
 }
 
 void Broker::attach_to_network() {
@@ -81,32 +91,21 @@ void Broker::attach_to_network() {
   if (parent_ != sim::kNoNode) link_.watch(parent_);
 }
 
-void Broker::schedule_tasks() {
-  // Journal flushing is a background chore, never an event-path cost.
-  if (journal_ != nullptr && config_.journal_sync_interval > 0)
-    journal_sync_.start(config_.journal_sync_interval,
-                        [this] { journal_->sync(); });
-  if (!config_.auto_renew) return;
-  const std::uint64_t epoch = epoch_;
-  transport_.schedule_background_after(config_.renew_interval,
-                                       [this, epoch] { renew_task(epoch); });
-  transport_.schedule_background_after(config_.reap_interval,
-                                       [this, epoch] { reap_task(epoch); });
-}
-
 void Broker::crash() {
   if (crashed_) return;
   crashed_ = true;
-  ++epoch_;  // orphan the pending renew/reap closures
+  ++epoch_;  // orphan a pending re-parent damping check
   prev_parent_ = sim::kNoNode;
   handover_mark_ = {};
   pen_.clear();
-  pen_armed_ = false;
   bounced_.clear();
   bounced_order_.clear();
   child_health_.clear();
-  quarantine_armed_ = false;
   journal_sync_.stop();
+  renew_.stop();
+  reap_.stop();
+  pen_task_.stop();
+  quarantine_task_.stop();
   link_.detach();
 }
 
@@ -117,9 +116,7 @@ void Broker::restart() {
   prev_parent_ = sim::kNoNode;
   handover_mark_ = {};
   pen_.clear();
-  pen_armed_ = false;
   child_health_.clear();
-  quarantine_armed_ = false;
   entries_.clear();
   by_filter_.clear();
   needed_.clear();
@@ -131,8 +128,7 @@ void Broker::restart() {
   pending_resume_.clear();
   build_index();
   link_.reset();  // fresh sessions; peers discard the dead streams on contact
-  attach_to_network();
-  schedule_tasks();
+  start();
   // The soft state above is gone for good — a real restart has no memory —
   // but with a journal attached the *events* are not: re-drive them so the
   // crash window loses nothing (DESIGN.md §12).
@@ -604,8 +600,7 @@ void Broker::resync_active() {
       std::make_move_iterator(target_list.end()));
 
   for (const auto& form : active_) {
-    if (!target.contains(form) && config_.propagate_unsub)
-      send(parent_, Unsub{form, id_});
+    if (!target.contains(form)) send(parent_, Unsub{form, id_});
   }
   for (const auto& form : target) {
     if (!active_.contains(form)) send(parent_, ReqInsert{form, id_});
@@ -630,7 +625,7 @@ void Broker::on_parent_down(sim::NodeId peer) {
   const sim::Time now = transport_.now();
   // A quiet spell forgives the flap streak: re-parents long past are not
   // evidence the current link is unstable.
-  if (reparent_streak_ > 0 && now - last_reparent_ > 8 * config_.reparent_backoff)
+  if (reparent_streak_ > 0 && now - last_reparent_ > 8 * kReparentBackoff)
     reparent_streak_ = 0;
   const std::uint64_t epoch = epoch_;
   if (now >= reparent_allowed_at_) {
@@ -688,7 +683,7 @@ void Broker::do_reparent(std::uint64_t epoch) {
   ++reparent_streak_;
   const std::uint32_t shift = std::min<std::uint32_t>(reparent_streak_, 10);
   reparent_allowed_at_ =
-      last_reparent_ + (config_.reparent_backoff << shift);
+      last_reparent_ + (kReparentBackoff << shift);
 }
 
 void Broker::on_retransmit(sim::NodeId to, const sim::Network::Payload& payload) {
@@ -716,13 +711,11 @@ sim::NodeId Broker::random_child() {
   return children_[rng_.below(children_.size())];
 }
 
-void Broker::renew_task(std::uint64_t epoch) {
-  if (epoch != epoch_) return;  // superseded by a crash or restart
+void Broker::renew_task() {
   // Incremental re-clustering rides the renew tick: bounded work per tick
-  // (config_.aggregate.rebalance_budget groups examined), so aggregation
-  // quality tracks lease-table churn without a stop-the-world pass.
-  if (agg_ != nullptr && config_.aggregate.rebalance_budget > 0)
-    agg_->rebalance(config_.aggregate.rebalance_budget);
+  // (index::kRebalanceBudget groups examined), so aggregation quality
+  // tracks lease-table churn without a stop-the-world pass.
+  if (agg_ != nullptr) agg_->rebalance(index::kRebalanceBudget);
   if (prev_parent_ != sim::kNoNode) {
     const link::LinkManager::TxMark cur = link_.tx_mark(parent_);
     if (cur.session != handover_mark_.session) {
@@ -749,12 +742,10 @@ void Broker::renew_task(std::uint64_t epoch) {
   if (parent_ != sim::kNoNode) {
     for (const auto& form : active_) send(parent_, ReqInsert{form, id_});
   }
-  transport_.schedule_background_after(config_.renew_interval,
-                                       [this, epoch] { renew_task(epoch); });
 }
 
 void Broker::park_unmatched(const sim::Network::Payload& payload) {
-  if (pen_.size() >= config_.match_grace_limit) {
+  if (pen_.size() >= kMatchGraceLimit) {
     // Drop-oldest eviction is a real loss during a heal; count it so a
     // chaos run can tell an undersized pen from a closed race.
     ++stats_.events_pen_dropped;
@@ -762,18 +753,10 @@ void Broker::park_unmatched(const sim::Network::Payload& payload) {
   }
   pen_.push_back({payload, transport_.now()});
   ++stats_.events_parked;
-  if (pen_armed_) return;
-  pen_armed_ = true;
-  const std::uint64_t epoch = epoch_;
-  transport_.schedule_background_after(config_.match_grace / 4,
-                                       [this, epoch] { pen_tick(epoch); });
+  if (!pen_task_.running()) pen_task_.start();
 }
 
-void Broker::pen_tick(std::uint64_t epoch) {
-  if (epoch != epoch_ || crashed_) {
-    pen_armed_ = false;
-    return;
-  }
+void Broker::pen_tick() {
   const sim::Time now = transport_.now();
   std::deque<Parked> keep;
   for (Parked& parked : pen_) {
@@ -814,12 +797,7 @@ void Broker::pen_tick(std::uint64_t epoch) {
     }
   }
   pen_ = std::move(keep);
-  if (pen_.empty()) {
-    pen_armed_ = false;
-    return;
-  }
-  transport_.schedule_background_after(config_.match_grace / 4,
-                                       [this, epoch] { pen_tick(epoch); });
+  if (pen_.empty()) pen_task_.stop();
 }
 
 void Broker::forward_event(sim::NodeId target,
@@ -864,12 +842,7 @@ void Broker::quarantine_child(sim::NodeId target, ChildHealth& ch) {
   // are never head-of-line blocked behind a wall of stalled events.
   for (sim::Network::Payload& payload : link_.take_pending_events(target))
     park_quarantined(ch, payload);
-  if (quarantine_armed_) return;
-  quarantine_armed_ = true;
-  const std::uint64_t epoch = epoch_;
-  transport_.schedule_background_after(
-      config_.quarantine_drain_interval,
-      [this, epoch] { quarantine_tick(epoch); });
+  if (!quarantine_task_.running()) quarantine_task_.start();
 }
 
 void Broker::park_quarantined(ChildHealth& ch,
@@ -883,11 +856,7 @@ void Broker::park_quarantined(ChildHealth& ch,
   ++stats_.events_quarantined;
 }
 
-void Broker::quarantine_tick(std::uint64_t epoch) {
-  if (epoch != epoch_ || crashed_) {
-    quarantine_armed_ = false;
-    return;
-  }
+void Broker::quarantine_tick() {
   bool active = false;
   for (auto& [child, ch] : child_health_) {
     if (!ch.quarantined) continue;
@@ -908,13 +877,7 @@ void Broker::quarantine_tick(std::uint64_t epoch) {
     }
     active = true;
   }
-  if (!active) {
-    quarantine_armed_ = false;
-    return;
-  }
-  transport_.schedule_background_after(
-      config_.quarantine_drain_interval,
-      [this, epoch] { quarantine_tick(epoch); });
+  if (!active) quarantine_task_.stop();
 }
 
 bool Broker::take_bounce_budget(std::uint64_t event_id) {
@@ -928,7 +891,7 @@ bool Broker::take_bounce_budget(std::uint64_t event_id) {
   if (count >= kPenBounceBudget) return false;
   if (count++ == 0) {
     bounced_order_.push_back(event_id);
-    if (bounced_order_.size() > 4 * config_.match_grace_limit) {
+    if (bounced_order_.size() > 4 * kMatchGraceLimit) {
       bounced_.erase(bounced_order_.front());
       bounced_order_.pop_front();
     }
@@ -994,8 +957,7 @@ void Broker::replay_range_to(sim::NodeId child, std::uint64_t from) {
   });
 }
 
-void Broker::reap_task(std::uint64_t epoch) {
-  if (epoch != epoch_) return;
+void Broker::reap_task() {
   const sim::Time now = transport_.now();
   // Durable mode keeps expired leases as lame ducks for one match_grace:
   // a renewal delayed by loss (head-of-line blocked behind event frames in
@@ -1015,8 +977,6 @@ void Broker::reap_task(std::uint64_t epoch) {
     if (entry.leases.empty()) dead.push_back(fid);
   }
   for (const index::FilterId fid : dead) remove_entry(fid);
-  transport_.schedule_background_after(config_.reap_interval,
-                                       [this, epoch] { reap_task(epoch); });
 }
 
 }  // namespace cake::routing

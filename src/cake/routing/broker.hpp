@@ -56,8 +56,6 @@ struct BrokerConfig {
   sim::Time reap_interval = 10'000'000;
   /// Run periodic renewal/reaping tasks (off = static workloads).
   bool auto_renew = true;
-  /// Send Unsub upward when an entry loses its last child.
-  bool propagate_unsub = true;
   /// §4.4 wildcard placement: attach wildcard subscriptions at stage j+1.
   /// Off = the naive scheme the paper warns about (everything lands at a
   /// stage-1 node, which then receives the whole class's traffic).
@@ -87,29 +85,20 @@ struct BrokerConfig {
   /// sequencing, retransmission and heartbeat failure detection of the
   /// parent link (DESIGN.md §10).
   link::LinkOptions link;
-  /// Base damping delay between consecutive re-parent attempts. Each
-  /// re-parent in a flap streak doubles it; a quiet spell of 8× this base
-  /// forgives the streak. Keeps a flapping parent link from thrashing the
-  /// broker up and down its ancestor chain.
-  sim::Time reparent_backoff = 250'000;
   /// Zero-match grace pen (0 = off: unmatched events drop immediately, the
   /// classic behavior). After a partition heals, a retransmitted event can
   /// reach a broker moments before the lease renewals that would route it —
   /// forwarding is memoryless, so that race loses the event forever. With a
   /// grace, the broker parks events that match nothing and re-matches them
   /// until the grace expires, closing the heal-time race between event
-  /// retransmissions and lease re-establishment. Bounded, drop-oldest.
+  /// retransmissions and lease re-establishment. Bounded
+  /// (Broker::kMatchGraceLimit frames), drop-oldest.
   sim::Time match_grace = 0;
-  std::size_t match_grace_limit = 1024;
   /// With a journal attached (set_journal), restart() replays the journaled
   /// event frames through the matcher so a crash loses nothing (DESIGN.md
   /// §12). Off = recover tables and cursors only — the regression knob the
   /// durable chaos oracle uses to prove it detects real event loss.
   bool journal_replay_on_restart = true;
-  /// Interval of the background journal sync chore (flush toward storage).
-  /// The append itself happens inline — it is a memcpy into the storage
-  /// layer — but flushing is deferred off the event path.
-  sim::Time journal_sync_interval = 250'000;
   /// Slow-child quarantine (DESIGN.md §15; off by default). When a child's
   /// link queue of *event* frames sits above `child_queue.high` for
   /// `quarantine_after`, or hits `child_queue.capacity` at all, the broker
@@ -378,16 +367,12 @@ private:
   /// Retransmit-probe hook: stamps a Retransmit trace span when a traced
   /// event frame goes out again.
   void on_retransmit(sim::NodeId to, const sim::Network::Payload& payload);
-  /// Schedules renew/reap for the current epoch; a task whose captured
-  /// epoch is stale (crash or restart happened since) dies silently, so
-  /// crash–restart cannot double up the periodic tasks.
-  void schedule_tasks();
-  void renew_task(std::uint64_t epoch);
-  void reap_task(std::uint64_t epoch);
+  void renew_task();
+  void reap_task();
   /// Parks a zero-match event frame in the grace pen (config_.match_grace).
   void park_unmatched(const sim::Network::Payload& payload);
   /// Re-matches parked frames; forwards rescues, drops expired ones.
-  void pen_tick(std::uint64_t epoch);
+  void pen_tick();
   /// Crash recovery (DESIGN.md §12): re-drives every retained journal
   /// record through the matcher. Cursor records rebuild the durable-
   /// subscription cursors; event records re-match against the (still
@@ -414,7 +399,20 @@ private:
   /// Paced drain: each tick feeds penned frames back into the link until
   /// its queue reaches the low watermark; lifts the quarantine when the
   /// pen empties.
-  void quarantine_tick(std::uint64_t epoch);
+  void quarantine_tick();
+
+  /// Base damping delay between consecutive re-parent attempts. Each
+  /// re-parent in a flap streak doubles it; a quiet spell of 8× this base
+  /// forgives the streak. Keeps a flapping parent link from thrashing the
+  /// broker up and down its ancestor chain.
+  static constexpr sim::Time kReparentBackoff = 250'000;
+  /// Grace-pen capacity (config_.match_grace); the oldest frame is evicted
+  /// beyond it.
+  static constexpr std::size_t kMatchGraceLimit = 1024;
+  /// Interval of the background journal sync chore (flush toward storage).
+  /// The append itself happens inline — it is a memcpy into the storage
+  /// layer — but flushing is deferred off the event path.
+  static constexpr sim::Time kJournalSyncInterval = 250'000;
 
   sim::NodeId id_;
   std::size_t stage_;
@@ -438,7 +436,7 @@ private:
   sim::Time last_reparent_ = 0;
   trace::Tracer* tracer_ = nullptr;
   bool crashed_ = false;
-  std::uint64_t epoch_ = 0;  // bumped by crash()/restart()
+  std::uint64_t epoch_ = 0;  // crash()/restart() orphan a pending damping check
 
   journal::Journal* journal_ = nullptr;
   bool replaying_ = false;  // guards against re-journaling replayed frames
@@ -455,7 +453,14 @@ private:
   // Resumes that arrived before the subscriber's durable lease was
   // re-established post-restart; served when the Subscribe lands.
   std::unordered_set<sim::NodeId> pending_resume_;
+  // Standing chores. crash() stops them all; start() and restart() start
+  // the first three, and the pen and quarantine ticks run only while their
+  // pens hold frames.
   runtime::PeriodicTask journal_sync_;
+  runtime::PeriodicTask renew_;
+  runtime::PeriodicTask reap_;
+  runtime::PeriodicTask pen_task_;
+  runtime::PeriodicTask quarantine_task_;
 
   std::unique_ptr<index::MatchIndex> index_;
   index::AggregatedIndex* agg_ = nullptr;  // owned by index_; null when off
@@ -483,7 +488,6 @@ private:
     sim::Time parked_at;
   };
   std::deque<Parked> pen_;
-  bool pen_armed_ = false;
   // Durable recovery bounce (journal mode only): per-event-id count of
   // hand-backs to the parent. A budget (not bounce-once) because the
   // parent can re-match against a lease still pointing at this freshly
@@ -504,7 +508,6 @@ private:
     std::deque<sim::Network::Payload> pen;  // oldest first, refcounted
   };
   std::unordered_map<sim::NodeId, ChildHealth> child_health_;
-  bool quarantine_armed_ = false;
 
   BrokerStats stats_;
   index::MatchScratch scratch_;

@@ -18,13 +18,13 @@ SubscriberNode::SubscriberNode(sim::NodeId id, sim::NodeId root,
       config_(config),
       // Seeded from the node id alone; see the Broker constructor note.
       link_(id, network, transport, config.link,
-            (static_cast<std::uint64_t>(id) + 1) * 0x9e3779b97f4a7c15ULL) {}
+            (static_cast<std::uint64_t>(id) + 1) * 0x9e3779b97f4a7c15ULL),
+      renew_(transport, config.renew_interval, [this] { renew_task(); }),
+      seen_events_(config.dedup_capacity) {}
 
 void SubscriberNode::start() {
   attach_to_network();
-  if (config_.auto_renew)
-    transport_.schedule_background_after(config_.renew_interval,
-                                         [this] { renew_task(); });
+  if (config_.auto_renew) renew_.start();
 }
 
 void SubscriberNode::attach_to_network() {
@@ -103,6 +103,7 @@ std::vector<std::uint64_t> SubscriberNode::subscribe_any(
     const std::uint64_t token = next_token_++;
     subs_.emplace(token, Sub{disjunct, handler, local, durable, group,
                              std::nullopt, {}});
+    group_seen_.try_emplace(group, config_.dedup_capacity);
     send(root_, Subscribe{std::move(disjunct), id_, token, durable});
     tokens.push_back(token);
   }
@@ -121,6 +122,7 @@ std::vector<sim::NodeId> SubscriberNode::hosting_nodes() const {
 
 void SubscriberNode::halt() {
   halted_ = true;
+  renew_.stop();
   link_.detach();
 }
 
@@ -165,6 +167,12 @@ void SubscriberNode::unsubscribe(std::uint64_t token) {
   if (it == subs_.end()) return;
   const Sub gone = std::move(it->second);
   subs_.erase(it);
+  // A composite's dedup memory goes with its last member.
+  if (gone.group != 0 &&
+      std::none_of(subs_.begin(), subs_.end(), [&](const auto& s) {
+        return s.second.group == gone.group;
+      }))
+    group_seen_.erase(gone.group);
   // The hosting broker keeps one lease per (child, stored form), shared by
   // every subscription of ours it stored under that form: withdraw it only
   // with the last of them, or a sibling silently loses its route.
@@ -175,6 +183,12 @@ void SubscriberNode::unsubscribe(std::uint64_t token) {
   if (gone.parent.has_value() && !shared)
     send(*gone.parent, Unsub{gone.stored_at_parent, id_});
   sync_watches();
+}
+
+std::size_t SubscriberNode::composite_seen() const noexcept {
+  std::size_t total = 0;
+  for (const auto& [group, seen] : group_seen_) total += seen.size();
+  return total;
 }
 
 std::optional<sim::NodeId> SubscriberNode::accepted_at(std::uint64_t token) const {
@@ -277,12 +291,7 @@ void SubscriberNode::on_packet(sim::NodeId from,
     if (config_.dedup_events) {
       // Global exactly-once gate: the link layer already dedups per stream,
       // but a re-parent can briefly leave two paths carrying the same event.
-      if (!seen_events_.insert(ev->event_id).second) return;
-      seen_order_.push_back(ev->event_id);
-      if (seen_order_.size() > config_.dedup_capacity) {
-        seen_events_.erase(seen_order_.front());
-        seen_order_.pop_front();
-      }
+      if (!seen_events_.insert(ev->event_id)) return;
     }
     bool delivered = false;
     for (auto& [token, sub] : subs_) {
@@ -293,7 +302,7 @@ void SubscriberNode::on_packet(sim::NodeId from,
         // Composite subscription: fire at most once per published event,
         // whether the disjuncts matched in one packet or the event arrived
         // again over another disjunct's path.
-        if (!group_seen_[sub.group].insert(ev->event_id).second) continue;
+        if (!group_seen_.at(sub.group).insert(ev->event_id)) continue;
       }
       if (sub.handler) sub.handler(ev->image);
     }
@@ -386,7 +395,6 @@ void SubscriberNode::emit_trace_span(const EventMsg& msg, sim::NodeId from,
 }
 
 void SubscriberNode::renew_task() {
-  if (halted_) return;  // crashed: no renewals, no rescheduling
   if (!detached_) {
     for (const auto& [token, sub] : subs_) {
       if (sub.parent.has_value()) {
@@ -410,8 +418,6 @@ void SubscriberNode::renew_task() {
       }
     }
   }
-  transport_.schedule_background_after(config_.renew_interval,
-                                       [this] { renew_task(); });
 }
 
 void SubscriberNode::send(sim::NodeId to, const Packet& packet) {

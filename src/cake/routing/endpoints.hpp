@@ -18,6 +18,7 @@
 #include "cake/journal/journal.hpp"
 #include "cake/link/link.hpp"
 #include "cake/routing/protocol.hpp"
+#include "cake/runtime/background.hpp"
 #include "cake/runtime/transport.hpp"
 #include "cake/trace/trace.hpp"
 #include "cake/util/rng.hpp"
@@ -165,6 +166,8 @@ public:
   /// Node the subscription was accepted at, if the handshake completed.
   [[nodiscard]] std::optional<sim::NodeId> accepted_at(std::uint64_t token) const;
   [[nodiscard]] std::size_t subscriptions() const noexcept { return subs_.size(); }
+  /// Event ids remembered across every composite group's dedup memory.
+  [[nodiscard]] std::size_t composite_seen() const noexcept;
 
   /// One row per live subscription, for the chaos oracle's table-fixpoint
   /// check: it cross-references (parent, stored) against broker tables.
@@ -222,12 +225,33 @@ private:
   // they are not re-watched; any packet from one revives it.
   std::unordered_set<sim::NodeId> dead_hosts_;
   std::unordered_map<std::uint64_t, Sub> subs_;
-  // Bounded global event-id dedup (config_.dedup_events), FIFO eviction.
-  std::unordered_set<std::uint64_t> seen_events_;
-  std::deque<std::uint64_t> seen_order_;
-  // Event ids already handled per composite group (multi-path dedup).
-  std::unordered_map<std::uint64_t, std::unordered_set<std::uint64_t>>
-      group_seen_;
+  runtime::PeriodicTask renew_;
+  /// The most recent `capacity` distinct event ids, FIFO eviction.
+  class RecentIds {
+  public:
+    explicit RecentIds(std::size_t capacity) : capacity_(capacity) {}
+    /// True when `id` was not remembered (it is now).
+    bool insert(std::uint64_t id) {
+      if (!ids_.insert(id).second) return false;
+      order_.push_back(id);
+      if (order_.size() > capacity_) {
+        ids_.erase(order_.front());
+        order_.pop_front();
+      }
+      return true;
+    }
+    [[nodiscard]] std::size_t size() const noexcept { return order_.size(); }
+
+  private:
+    std::size_t capacity_;
+    std::unordered_set<std::uint64_t> ids_;
+    std::deque<std::uint64_t> order_;
+  };
+  // Bounded global event-id dedup (config_.dedup_events).
+  RecentIds seen_events_;
+  // Event ids already handled per composite group (multi-path dedup),
+  // bounded like the global set; dropped with the group's last member.
+  std::unordered_map<std::uint64_t, RecentIds> group_seen_;
   std::uint64_t next_token_ = 1;
   std::uint64_t next_group_ = 1;
   bool detached_ = false;

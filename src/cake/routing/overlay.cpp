@@ -26,8 +26,7 @@ Overlay::Overlay(OverlayConfig config, const reflect::TypeRegistry& registry)
         *threaded_,
         [workers = threaded_->workers()](sim::NodeId node) {
           return static_cast<std::size_t>(node) % workers;
-        },
-        config_.handoff_batch);
+        });
   }
 
   if (config_.trace.enabled)

@@ -67,8 +67,6 @@ struct OverlayConfig {
   OverlayBackend backend = OverlayBackend::Sim;
   /// Worker/queue options for the Threaded backend (ignored under Sim).
   runtime::ThreadedOptions threaded{};
-  /// Frames per cross-lane delivery drain task (Threaded backend).
-  std::size_t handoff_batch = 64;
   /// Startup validation of the documented soft-state invariants
   /// (health::validate_*): rto_max ≪ lease TTL, heartbeat_misses ≥ 2, the
   /// dedup-capacity sizing rule, and watermark ordering wherever watermarks

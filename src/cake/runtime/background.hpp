@@ -1,13 +1,17 @@
 // Self-rearming periodic background work on a Transport.
 //
-// Brokers run standing chores — lease reaping, pen expiry, and now journal
-// sync — as background timers that re-arm themselves. Each caller used to
-// hand-roll the epoch idiom (transport timers are fire-and-forget, so a
-// stale closure must notice it was superseded and die silently). This
-// helper packages that idiom once: `start()` bumps a generation and arms;
-// `stop()` bumps the generation so any in-flight closure no-ops; the timer
-// chain holds only `this`, so the owner must outlive pending firings — the
-// same ownership rule every Transport user already obeys (transport.hpp).
+// Every standing chore of the overlay runs on this one helper: broker lease
+// renewal and reaping, the grace-pen and quarantine ticks, journal sync,
+// subscriber renewal and the link heartbeat. Transport timers are
+// fire-and-forget, so a stale closure must notice it was superseded and die
+// silently. `start()` bumps a generation and arms a fresh chain; `stop()`
+// bumps it so any in-flight closure no-ops; and a closure re-arms only if
+// its generation is still current after the callback returns, so a
+// superseded chain never re-arms. The callback may `stop()` (or `start()`)
+// its own task: the callable is fixed at construction and never replaced
+// while it runs. The timer chain holds only `this`, so the owner must
+// outlive pending firings — the same ownership rule every Transport user
+// already obeys (transport.hpp).
 #pragma once
 
 #include <cstdint>
@@ -20,42 +24,41 @@ namespace cake::runtime {
 
 class PeriodicTask {
 public:
-  explicit PeriodicTask(Transport& transport) noexcept
-      : transport_(transport) {}
+  PeriodicTask(Transport& transport, Time interval, std::function<void()> fn)
+      : transport_(transport), interval_(interval), fn_(std::move(fn)) {}
 
   PeriodicTask(const PeriodicTask&) = delete;
   PeriodicTask& operator=(const PeriodicTask&) = delete;
 
-  /// Runs `fn` every `interval` (first firing one interval from now) until
-  /// `stop()` or a subsequent `start()` supersedes it.
-  void start(Time interval, std::function<void()> fn) {
-    ++generation_;
-    interval_ = interval;
-    fn_ = std::move(fn);
-    arm(generation_);
+  /// Runs the callback every interval (first firing one interval from now)
+  /// until `stop()`; orphans any chain an earlier `start()` armed.
+  void start() {
+    running_ = true;
+    arm(++generation_);
   }
 
-  /// Orphans any pending firing; the stored callback is released.
-  void stop() {
+  /// Orphans the pending firing, if any.
+  void stop() noexcept {
+    running_ = false;
     ++generation_;
-    fn_ = nullptr;
   }
 
-  [[nodiscard]] bool running() const noexcept { return fn_ != nullptr; }
+  [[nodiscard]] bool running() const noexcept { return running_; }
 
 private:
   void arm(std::uint64_t gen) {
     transport_.schedule_background_after(interval_, [this, gen] {
       if (gen != generation_) return;  // superseded; let the chain die
       fn_();
-      arm(gen);
+      if (gen == generation_) arm(gen);
     });
   }
 
   Transport& transport_;
-  Time interval_ = 0;
-  std::uint64_t generation_ = 0;
+  Time interval_;
   std::function<void()> fn_;
+  std::uint64_t generation_ = 0;
+  bool running_ = false;
 };
 
 }  // namespace cake::runtime

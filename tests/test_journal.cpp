@@ -321,6 +321,41 @@ TEST(JournalGolden, PenParkedEventsSurviveBrokerRestartViaJournalReplay) {
   }
 }
 
+// G2b: a crash and restart inside one pen-tick period leave a single pen
+// chain. The pre-crash tick is still pending after the restart; when it
+// fires it must not disarm the chain the restart's journal replay started,
+// or the next park arms a second chain and the pen runs twice as often.
+// Observed as pending background work, which must equal that of a control
+// arm that never crashed.
+TEST(JournalGolden, CrashRestartInsideOnePenTickKeepsOnePenChain) {
+  std::size_t pending[2] = {};
+  for (const bool crash : {false, true}) {
+    const OverlayConfig config = durable_config();
+    const sim::Time tick = config.broker.match_grace / 4;
+    DurableFx fx{config};
+    sim::Scheduler& scheduler = fx.overlay.scheduler();
+    for (int i = 0; i < 3; ++i)
+      fx.publisher->publish(
+          pub_event(2002, "ICDCS", "eugster", "parked-" + std::to_string(i)));
+    fx.overlay.run();
+    ASSERT_EQ(fx.overlay.root().stats().events_parked, 3u);
+
+    scheduler.run_until(scheduler.now() + tick / 4);
+    if (crash) {
+      fx.overlay.crash(0);
+      fx.overlay.restart(0);  // the replayed frames re-park
+      fx.overlay.run();
+    }
+    // The pre-crash tick fires; then one more zero-match event parks.
+    scheduler.run_until(scheduler.now() + tick);
+    fx.publisher->publish(pub_event(2002, "ICDCS", "eugster", "late"));
+    fx.overlay.run();
+    scheduler.run_until(scheduler.now() + tick);
+    pending[crash ? 1 : 0] = scheduler.pending();
+  }
+  EXPECT_EQ(pending[1], pending[0]);
+}
+
 // G3: durable cursor across a broker crash. A detached durable subscriber
 // must resume from its journaled cursor even when the hosting broker
 // crashed and cold-restarted in between (the cursor record is recovered

@@ -195,5 +195,60 @@ TEST(Overload, QuarantinePenBoundEvictsOldestAndChargesTheChild) {
   EXPECT_EQ(received + root.quarantine_dropped(sub.id()), 40u);
 }
 
+// A crash and restart inside one drain period leave a single quarantine
+// drain chain. The pre-crash tick is still pending after the restart; when
+// it fires it must not disarm the chain a post-restart quarantine started,
+// or the next quarantine arms a second chain and the drain runs twice as
+// often. Observed as pending background work, which must equal that of a
+// control arm that never crashed.
+TEST(Overload, CrashRestartInsideOneDrainTickKeepsOneDrainChain) {
+  constexpr sim::Time kDrain = 5'000'000;
+  std::size_t pending[2] = {};
+  for (const bool crash : {false, true}) {
+    OverlayConfig config = overload_config();
+    config.link.credit_window = 4;
+    config.broker.quarantine = true;
+    config.broker.child_queue = {.low = 2, .high = 4, .capacity = 8};
+    config.broker.quarantine_drain_interval = kDrain;
+    config.broker.ttl = 1'000'000;
+    config.broker.renew_interval = 400'000;
+    config.broker.reap_interval = 500'000;
+    config.subscriber.renew_interval = 400'000;
+    Fixture fx{config};
+    sim::Scheduler& scheduler = fx.overlay.scheduler();
+    auto& first = fx.overlay.add_subscriber();
+    first.subscribe(FilterBuilder{"Publication"}.build(), {});
+    auto& second = fx.overlay.add_subscriber();
+    second.subscribe(FilterBuilder{"Publication"}.build(), {});
+    fx.overlay.run();
+
+    const sim::Time t0 = scheduler.now();
+    first.stall();
+    fx.publish_paced(20, 5'000);
+    fx.overlay.run();
+    ASSERT_TRUE(fx.overlay.root().quarantined(first.id()));
+    if (crash) {
+      fx.overlay.crash(0);
+      fx.overlay.restart(0);
+      // The subscribers' next renewals draw Expired and re-join them; then
+      // the stalled one is quarantined afresh, before the pre-crash tick
+      // fires.
+      scheduler.run_until(t0 + kDrain / 2);
+      fx.publish_paced(20, 5'000);
+      fx.overlay.run();
+      ASSERT_TRUE(fx.overlay.root().quarantined(first.id()));
+    }
+    // The pre-crash tick fires; then a second child is quarantined.
+    scheduler.run_until(t0 + kDrain + kDrain / 5);
+    second.stall();
+    fx.publish_paced(20, 5'000);
+    fx.overlay.run();
+    ASSERT_TRUE(fx.overlay.root().quarantined(second.id()));
+    scheduler.run_until(t0 + 3 * kDrain);
+    pending[crash ? 1 : 0] = scheduler.pending();
+  }
+  EXPECT_EQ(pending[1], pending[0]);
+}
+
 }  // namespace
 }  // namespace cake
