@@ -47,16 +47,18 @@ void EventImage::encode(wire::Writer& w) const {
   w.raw(opaque_);
 }
 
-void EventImage::read_from(wire::Reader& r, bool borrow_values) {
+void EventImage::decode_into(wire::Reader& r) {
   const symbol::Symbol type = symbol::intern(r.string_view());
   type_id_ = type.id;
   type_name_ = type.text;
   const std::uint64_t n = r.count(2);  // name length byte + value tag
-  attributes_.clear();
-  attributes_.reserve(n);
-  for (std::uint64_t i = 0; i < n; ++i) {
+  // resize, not clear: the surviving attributes keep their string storage.
+  attributes_.resize(n);
+  for (ImageAttribute& attr : attributes_) {
     const symbol::Symbol name = symbol::intern(r.string_view());
-    attributes_.emplace_back(name, borrow_values ? r.value_view() : r.value());
+    attr.id = name.id;
+    attr.name = name.text;
+    r.value_into(attr.value);
   }
   const std::uint64_t extra = r.count(1);
   const std::span<const std::byte> raw = r.bytes(extra);
@@ -65,24 +67,8 @@ void EventImage::read_from(wire::Reader& r, bool borrow_values) {
 
 EventImage EventImage::decode(wire::Reader& r) {
   EventImage image;
-  image.read_from(r, /*borrow_values=*/false);
+  image.decode_into(r);
   return image;
-}
-
-void EventImage::assign_view(wire::Reader& r) {
-  read_from(r, /*borrow_values=*/true);
-}
-
-EventImage EventImage::to_owned() const {
-  EventImage owned;
-  owned.type_id_ = type_id_;
-  owned.type_name_ = type_name_;
-  owned.attributes_.reserve(attributes_.size());
-  for (const auto& attr : attributes_)
-    owned.attributes_.push_back(
-        ImageAttribute{symbol::Symbol{attr.id, attr.name}, attr.value.to_owned()});
-  owned.opaque_ = opaque_;
-  return owned;
 }
 
 std::string EventImage::to_string() const {

@@ -88,10 +88,7 @@ struct ImageAttribute {
 /// The low-level event representation used for routing and matching.
 ///
 /// Flat form: the type name and attribute names are interned symbols
-/// (borrowed views, never owned copies). Attribute *values* are owned by
-/// default; `assign_view` produces a borrowed image whose string values
-/// point into the inbound packet buffer — valid only while that buffer
-/// lives. Call `to_owned()` before storing such an image.
+/// (borrowed views, never owned copies); attribute values are owned.
 class EventImage {
 public:
   EventImage() = default;
@@ -121,22 +118,16 @@ public:
   void encode(wire::Writer& w) const;
   [[nodiscard]] static EventImage decode(wire::Reader& r);
 
-  /// Borrowed decode into *this*, reusing attribute/opaque capacity: names
-  /// are interned as usual, but string values stay views into the reader's
-  /// buffer (`Reader::value_view`). The zero-allocation broker decode mode;
-  /// the image must not outlive the buffer (DESIGN.md §9).
-  void assign_view(wire::Reader& r);
-
-  /// Deep copy with every borrowed value materialized as owned.
-  [[nodiscard]] EventImage to_owned() const;
+  /// `decode` into *this*, reusing its attribute, string and opaque
+  /// capacity: decoding an image of the same shape into a warm image
+  /// allocates nothing (the per-frame memo, DESIGN.md §9).
+  void decode_into(wire::Reader& r);
 
   [[nodiscard]] std::string to_string() const;
   [[nodiscard]] bool operator==(const EventImage&) const = default;
 
 private:
   friend void image_of_into(const Event& event, EventImage& out);
-
-  void read_from(wire::Reader& r, bool borrow_values);
 
   symbol::Id type_id_ = 0;
   std::string_view type_name_;

@@ -31,9 +31,6 @@ bool applies(Op op, const value::Value& event_value,
     case Op::Ne:
       return !(event_value == operand);
     case Op::Prefix: {
-      // The event side may be a borrowed string (zero-copy decode), so only
-      // as_string_view() is safe here — as_string() would throw inside this
-      // noexcept function. Operands always come from owned filter storage.
       if (event_value.kind() != value::Kind::String ||
           operand.kind() != value::Kind::String)
         return false;

@@ -190,8 +190,8 @@ filter::ConjunctiveFilter Broker::weaken_for(const filter::ConjunctiveFilter& f,
 
 void Broker::on_packet(sim::NodeId from, const sim::Network::Payload& payload) {
   if (packet_class(payload) == kEventPacketClass) {
-    // Every event matches straight over the inbound frame: no owning
-    // decode, no Packet variant (DESIGN.md §9).
+    // Events skip the Packet variant: each frame is decoded once, by its
+    // first receiver, and matched from that memo (DESIGN.md §9).
     try {
       handle_event_frame(from, payload);
     } catch (const wire::WireError&) {
@@ -448,24 +448,8 @@ bool Broker::has_durable_lease(sim::NodeId child) const {
   return false;
 }
 
-Broker::EventHeader Broker::read_header(wire::Reader& r) {
-  (void)r.u8();      // tag, already peeked by packet_class
-  (void)r.varint();  // published_at: the subscriber's, never a hop's
-  EventHeader header;
-  header.event_id = r.varint();
-  header.trace_id = r.varint();
-  return header;
-}
-
-Broker::EventHeader Broker::read_event(const sim::Network::Payload& payload) {
-  wire::Reader r{wire::unframe_once(payload)};
-  const EventHeader header = read_header(r);
-  image_scratch_.assign_view(r);  // borrows names and strings from `payload`
-  return header;
-}
-
-bool Broker::match_targets() {
-  index_->match(image_scratch_, match_scratch_, scratch_);
+bool Broker::match_targets(const event::EventImage& image) {
+  index_->match(image, match_scratch_, scratch_);
   target_scratch_.clear();
   for (const index::FilterId fid : match_scratch_) {
     const Entry& entry = entries_.at(fid);
@@ -502,7 +486,8 @@ void Broker::fan_out(const sim::Network::Payload& payload) {
 
 void Broker::handle_event_frame(sim::NodeId from,
                                 const sim::Network::Payload& payload) {
-  const EventHeader header = read_event(payload);
+  // The image lives as long as `payload`, which the caller holds throughout.
+  const EventMsg& ev = decode_event_once(payload);
 
   // Journal the inbound frame *before* matching: the bytes already exist
   // (refcounted frame), so durability is one append of them — and a crash
@@ -514,9 +499,9 @@ void Broker::handle_event_frame(sim::NodeId from,
   }
 
   ++stats_.events_received;
-  const bool matched = match_targets();
-  if (tracer_ != nullptr && header.trace_id != 0)
-    emit_trace_span(header.trace_id, image_scratch_, from, matched);
+  const bool matched = match_targets(ev.image);
+  if (tracer_ != nullptr && ev.trace_id != 0)
+    emit_trace_span(ev.trace_id, ev.image, from, matched);
   if (!matched) {
     if (config_.match_grace > 0) park_unmatched(payload);
     return;
@@ -530,7 +515,7 @@ void Broker::handle_event_frame(sim::NodeId from,
   // the paths that already delivered, and the shared bounce budget stops a
   // stale parent lease from ping-ponging the frame.
   if (journal_ != nullptr && !replaying_ && parent_ != sim::kNoNode &&
-      transport_.now() < recovery_until_ && take_bounce_budget(header.event_id))
+      transport_.now() < recovery_until_ && take_bounce_budget(ev.event_id))
     link_.send_event(parent_, payload);
 }
 
@@ -689,8 +674,7 @@ void Broker::do_reparent(std::uint64_t epoch) {
 void Broker::on_retransmit(sim::NodeId to, const sim::Network::Payload& payload) {
   if (tracer_ == nullptr || packet_class(payload) != kEventPacketClass) return;
   try {
-    wire::Reader r{wire::unframe_once(payload)};
-    const std::uint64_t trace_id = read_header(r).trace_id;
+    const std::uint64_t trace_id = decode_event_once(payload).trace_id;
     if (trace_id == 0) return;
     trace::TraceSpan span;
     span.trace_id = trace_id;
@@ -701,8 +685,8 @@ void Broker::on_retransmit(sim::NodeId to, const sim::Network::Payload& payload)
     span.ticks = transport_.now();
     tracer_->emit(std::move(span));
   } catch (const wire::WireError&) {
-    // A frame corrupt enough to defeat the partial decode still gets
-    // retransmitted; it just goes untraced.
+    // A frame corrupt enough to defeat the decode still gets retransmitted;
+    // it just goes untraced.
   }
 }
 
@@ -760,13 +744,14 @@ void Broker::pen_tick() {
   const sim::Time now = transport_.now();
   std::deque<Parked> keep;
   for (Parked& parked : pen_) {
-    std::uint64_t event_id = 0;
+    // A parked frame decoded on arrival, so this reads its memo.
+    const EventMsg* ev = nullptr;
     try {
-      event_id = read_event(parked.payload).event_id;
+      ev = &decode_event_once(parked.payload);
     } catch (const wire::WireError&) {
       continue;  // cannot happen for a frame that decoded once; drop it
     }
-    if (match_targets()) {
+    if (match_targets(ev->image)) {
       ++stats_.events_rescued;
       fan_out(parked.payload);
       continue;
@@ -788,7 +773,7 @@ void Broker::pen_tick() {
     // heal can span several grace windows under sustained loss — while a
     // routine weakening false positive burns its budget and then drops
     // instead of circulating forever.
-    if (journal_ == nullptr || !take_bounce_budget(event_id)) continue;
+    if (journal_ == nullptr || !take_bounce_budget(ev->event_id)) continue;
     if (parent_ != sim::kNoNode) {
       link_.send_event(parent_, parked.payload);
     } else {
@@ -939,13 +924,14 @@ void Broker::replay_range_to(sim::NodeId child, std::uint64_t from) {
     if (rec.kind != journal::RecordKind::Event) return;
     const sim::Network::Payload payload{
         std::vector<std::byte>{rec.payload.begin(), rec.payload.end()}};
+    const EventMsg* ev = nullptr;
     try {
-      read_event(payload);
+      ev = &decode_event_once(payload);
     } catch (const wire::WireError&) {
       ++stats_.malformed_packets;
       return;
     }
-    if (!match_targets() ||
+    if (!match_targets(ev->image) ||
         !std::binary_search(target_scratch_.begin(), target_scratch_.end(),
                             child))
       return;

@@ -283,7 +283,7 @@ private:
   void handle(Expired&&) {}  // subscriber-bound; ignored at brokers
   void handle(Detach&& msg);
   void handle(Resume&& msg);
-  // Event frames never reach the owning decode: on_packet routes them by
+  // Event frames never reach the Packet decode: on_packet routes them by
   // class to handle_event_frame.
   void handle(EventMsg&&) {}
   // Subscriber-bound messages are ignored if misrouted to a broker.
@@ -296,25 +296,14 @@ private:
   void handle(Heartbeat&&) {}
   void handle(Credit&&) {}
 
-  /// The one event path (DESIGN.md §9): reads the frame, journals it,
-  /// matches, and fans the original frame out to the matching children.
-  /// Throws WireError on corruption, like decode().
+  /// The one event path (DESIGN.md §9): decodes the frame once per frame
+  /// (`decode_event_once`), journals it, matches, and fans the original
+  /// frame out to the matching children. Throws WireError on corruption,
+  /// like decode().
   void handle_event_frame(sim::NodeId from, const sim::Network::Payload& payload);
-  /// The per-hop fields of an EventMsg frame; published_at is skipped, it
-  /// matters only to the subscriber.
-  struct EventHeader {
-    std::uint64_t event_id = 0;
-    std::uint64_t trace_id = 0;
-  };
-  /// Reads the header of an unframed EventMsg, leaving `r` at the image.
-  static EventHeader read_header(wire::Reader& r);
-  /// Checks the frame (once per frame, `unframe_once`), reads its header
-  /// and borrows its image into `image_scratch_`; the views live as long as
-  /// `payload`. Throws WireError on corruption.
-  EventHeader read_event(const sim::Network::Payload& payload);
-  /// Matches `image_scratch_` and fills `target_scratch_` with the children
-  /// holding a matching lease, sorted and unique. True when there is any.
-  bool match_targets();
+  /// Matches `image` and fills `target_scratch_` with the children holding
+  /// a matching lease, sorted and unique. True when there is any.
+  bool match_targets(const event::EventImage& image);
   /// Sends `payload` to every child in `target_scratch_`, or buffers it for
   /// a detached durable child.
   void fan_out(const sim::Network::Payload& payload);
@@ -513,9 +502,6 @@ private:
   index::MatchScratch scratch_;
   std::vector<index::FilterId> match_scratch_;
   std::vector<sim::NodeId> target_scratch_;
-  // Reused borrowed image for read_event; its string_views point into the
-  // payload being handled and die with the call.
-  event::EventImage image_scratch_;
 };
 
 }  // namespace cake::routing

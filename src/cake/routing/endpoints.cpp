@@ -211,16 +211,29 @@ void SubscriberNode::on_packet(sim::NodeId from,
   // Any arrival is proof of life: a host we declared dead is revived and
   // becomes watchable again the next time sync_watches runs.
   dead_hosts_.erase(from);
-  if (stalled_ && packet_class(payload) == kEventPacketClass) {
-    // Stalled consumer: the protocol stack is alive but the application
-    // stopped draining. Park the frame in the bounded inbox; control
-    // traffic (joins, Expired, renewal replies) is handled normally.
-    if (stall_inbox_.size() >= config_.stall_inbox_limit) {
-      stall_inbox_.pop_front();  // bound memory: drop the oldest, counted
-      ++stats_.stall_inbox_dropped;
+  if (packet_class(payload) == kEventPacketClass) {
+    if (stalled_) {
+      // Stalled consumer: the protocol stack is alive but the application
+      // stopped draining. Park the frame in the bounded inbox; control
+      // traffic (joins, Expired, renewal replies) is handled normally.
+      if (stall_inbox_.size() >= config_.stall_inbox_limit) {
+        stall_inbox_.pop_front();  // bound memory: drop the oldest, counted
+        ++stats_.stall_inbox_dropped;
+      }
+      stall_inbox_.emplace_back(from, payload);
+      ++stats_.events_stalled;
+      return;
     }
-    stall_inbox_.emplace_back(from, payload);
-    ++stats_.events_stalled;
+    // The first receiver of this frame decoded it; every other subscriber
+    // and hop reads the same memo, which lives as long as `payload`.
+    const EventMsg* ev = nullptr;
+    try {
+      ev = &decode_event_once(payload);
+    } catch (const wire::WireError&) {
+      ++stats_.malformed_packets;
+      return;
+    }
+    deliver_event(from, *ev);
     return;
   }
   Packet packet;
@@ -283,37 +296,35 @@ void SubscriberNode::on_packet(sim::NodeId from,
       send(root_, Subscribe{sub.exact, id_, token, sub.durable});
     }
     sync_watches();
-    return;
   }
+}
 
-  if (auto* ev = std::get_if<EventMsg>(&packet)) {
-    ++stats_.events_received;
-    if (config_.dedup_events) {
-      // Global exactly-once gate: the link layer already dedups per stream,
-      // but a re-parent can briefly leave two paths carrying the same event.
-      if (!seen_events_.insert(ev->event_id)) return;
-    }
-    bool delivered = false;
-    for (auto& [token, sub] : subs_) {
-      if (!sub.exact.matches(ev->image, registry_)) continue;
-      if (sub.local && !sub.local(ev->image)) continue;
-      delivered = true;
-      if (sub.group != 0) {
-        // Composite subscription: fire at most once per published event,
-        // whether the disjuncts matched in one packet or the event arrived
-        // again over another disjunct's path.
-        if (!group_seen_.at(sub.group).insert(ev->event_id)) continue;
-      }
-      if (sub.handler) sub.handler(ev->image);
-    }
-    if (delivered) {
-      ++stats_.events_delivered;
-      latency_.add(static_cast<double>(transport_.now() - ev->published_at));
-    }
-    if (tracer_ != nullptr && ev->trace_id != 0)
-      emit_trace_span(*ev, from, delivered);
-    return;
+void SubscriberNode::deliver_event(sim::NodeId from, const EventMsg& ev) {
+  ++stats_.events_received;
+  if (config_.dedup_events) {
+    // Global exactly-once gate: the link layer already dedups per stream,
+    // but a re-parent can briefly leave two paths carrying the same event.
+    if (!seen_events_.insert(ev.event_id)) return;
   }
+  bool delivered = false;
+  for (auto& [token, sub] : subs_) {
+    if (!sub.exact.matches(ev.image, registry_)) continue;
+    if (sub.local && !sub.local(ev.image)) continue;
+    delivered = true;
+    if (sub.group != 0) {
+      // Composite subscription: fire at most once per published event,
+      // whether the disjuncts matched in one packet or the event arrived
+      // again over another disjunct's path.
+      if (!group_seen_.at(sub.group).insert(ev.event_id)) continue;
+    }
+    if (sub.handler) sub.handler(ev.image);
+  }
+  if (delivered) {
+    ++stats_.events_delivered;
+    latency_.add(static_cast<double>(transport_.now() - ev.published_at));
+  }
+  if (tracer_ != nullptr && ev.trace_id != 0)
+    emit_trace_span(ev, from, delivered);
 }
 
 void SubscriberNode::emit_trace_span(const EventMsg& msg, sim::NodeId from,

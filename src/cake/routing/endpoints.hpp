@@ -197,6 +197,9 @@ private:
   [[nodiscard]] std::vector<sim::NodeId> hosting_nodes() const;
 
   void on_packet(sim::NodeId from, const sim::Network::Payload& payload);
+  /// Runs the exact filters, local predicates and handlers over one event
+  /// (`decode_event_once`'s memo, shared with every other receiver).
+  void deliver_event(sim::NodeId from, const EventMsg& ev);
   void attach_to_network();
   /// Aligns the failure-detector watch set with hosting_nodes().
   void sync_watches();

@@ -138,6 +138,20 @@ sim::Network::Payload encode_event_frame(const event::EventImage& image,
 
 namespace {
 
+/// The fields of an EventMsg after its tag, decoded into `m` (reusing its
+/// image's capacity).
+void read_event(wire::Reader& r, EventMsg& m) {
+  m.published_at = r.varint();
+  m.event_id = r.varint();
+  m.trace_id = r.varint();
+  m.image.decode_into(r);
+}
+
+/// The per-frame memo of an EventMsg frame (`decode_event_once`).
+struct EventMemo final : wire::FrameMemo {
+  EventMsg msg;
+};
+
 Packet decode_payload(wire::Reader r) {
   switch (static_cast<Tag>(r.u8())) {
     case Tag::Advertise:
@@ -190,10 +204,7 @@ Packet decode_payload(wire::Reader r) {
       return Resume{static_cast<sim::NodeId>(r.varint())};
     case Tag::Event: {
       EventMsg m;
-      m.published_at = r.varint();
-      m.event_id = r.varint();
-      m.trace_id = r.varint();
-      m.image = event::EventImage::decode(r);
+      read_event(r, m);
       return m;
     }
     case Tag::Ack:
@@ -216,6 +227,16 @@ Packet decode(std::span<const std::byte> payload) {
 
 Packet decode_once(const sim::Network::Payload& frame) {
   return decode_payload(wire::Reader{wire::unframe_once(frame)});
+}
+
+const EventMsg& decode_event_once(const sim::Network::Payload& frame) {
+  if (frame.empty()) throw wire::WireError{"protocol: empty frame"};
+  return wire::memoize<EventMemo>(frame, [&frame](EventMemo& memo) {
+           wire::Reader r{wire::unframe_once(frame)};
+           if (static_cast<Tag>(r.u8()) != Tag::Event)
+             throw wire::WireError{"protocol: not an event frame"};
+           read_event(r, memo.msg);
+         }).msg;
 }
 
 std::uint8_t packet_class(std::span<const std::byte> frame) noexcept {

@@ -127,7 +127,7 @@ using Packet = std::variant<Advertise, Subscribe, JoinAt, AcceptedAt,
 
 /// Serializes an EventMsg-class packet straight into a pooled, refcounted
 /// frame — byte-identical to `encode(EventMsg{...})` but without the
-/// payload copy or fresh buffer. `image` may be a borrowed image.
+/// payload copy or fresh buffer.
 [[nodiscard]] sim::Network::Payload encode_event_frame(
     const event::EventImage& image, sim::Time published_at,
     std::uint64_t event_id, std::uint64_t trace_id);
@@ -139,12 +139,22 @@ using Packet = std::variant<Advertise, Subscribe, JoinAt, AcceptedAt,
 /// per frame (`wire::unframe_once`), not once per receiver.
 [[nodiscard]] Packet decode_once(const sim::Network::Payload& frame);
 
+/// Decodes an EventMsg frame at most once per frame: the first receiver
+/// decodes it into a memo on the refcounted buffer (`wire::memoize`), and
+/// every later hop or subscriber holding the same frame reads that memo.
+/// The result is owned (strings included) and lives as long as the frame,
+/// so a caller holding `frame` may use it for the whole call. Throws
+/// wire::WireError on corruption or when the frame is not an EventMsg; a
+/// failed decode is not memoized.
+[[nodiscard]] const EventMsg& decode_event_once(
+    const sim::Network::Payload& frame);
+
 /// Number of distinct packet classes (== std::variant_size_v<Packet>).
 inline constexpr std::uint8_t kPacketClasses = 15;
 
 /// Wire tag of EventMsg frames (checked against the Tag enum in
-/// protocol.cpp). Brokers peek this to route event traffic through the
-/// borrowed-decode / pass-through fast path without a full decode.
+/// protocol.cpp). Receivers peek this to send event traffic through
+/// `decode_event_once` instead of the Packet decode.
 inline constexpr std::uint8_t kEventPacketClass = 7;
 
 /// Peeks the wire tag of a framed packet without validating the checksum —

@@ -96,6 +96,12 @@ std::size_t LinkTag::wire_bytes() const noexcept {
          varint_size(ack_session);
 }
 
+Network::Network(Scheduler& scheduler, Time default_latency)
+    : scheduler_(scheduler),
+      default_latency_(default_latency),
+      handler_chunks_(std::make_unique<std::atomic<HandlerChunk*>[]>(
+          kMaxNodes / kHandlerChunk)) {}
+
 void Network::attach(NodeId node, Handler handler) {
   // Adapt to the tagged signature; one wrap allocation at attach time.
   attach(node, TaggedHandler{[h = std::move(handler)](
@@ -104,18 +110,30 @@ void Network::attach(NodeId node, Handler handler) {
 }
 
 void Network::attach(NodeId node, TaggedHandler handler) {
-  if (node >= handlers_.size()) {
-    handlers_.resize(node + std::size_t{1});
-    received_.resize(handlers_.size());
+  if (node >= kMaxNodes)
+    throw std::out_of_range{"sim: node id beyond the handler table"};
+  const std::lock_guard<std::mutex> lock{attach_mu_};
+  std::atomic<HandlerChunk*>& top = handler_chunks_[node / kHandlerChunk];
+  HandlerChunk* chunk = top.load(std::memory_order_relaxed);
+  if (chunk == nullptr) {
+    chunk = chunk_store_.emplace_back(std::make_unique<HandlerChunk>()).get();
+    top.store(chunk, std::memory_order_release);
   }
-  if (handlers_[node])
-    *handlers_[node] = std::move(handler);
-  else
-    handlers_[node] = std::make_unique<TaggedHandler>(std::move(handler));
+  auto& fresh = handler_store_.emplace_back(
+      std::make_unique<TaggedHandler>(std::move(handler)));
+  chunk->slots[node % kHandlerChunk].store(fresh.get(),
+                                           std::memory_order_release);
+  if (node >= received_.size()) received_.resize(node + std::size_t{1});
 }
 
 void Network::detach(NodeId node) {
-  if (node < handlers_.size()) handlers_[node].reset();
+  if (node >= kMaxNodes) return;
+  const std::lock_guard<std::mutex> lock{attach_mu_};
+  HandlerChunk* chunk =
+      handler_chunks_[node / kHandlerChunk].load(std::memory_order_relaxed);
+  if (chunk != nullptr)
+    chunk->slots[node % kHandlerChunk].store(nullptr,
+                                             std::memory_order_release);
 }
 
 bool Network::attached(NodeId node) const noexcept {
@@ -287,8 +305,7 @@ void Network::drain_inbox(std::size_t lane) {
 }
 
 void Network::deliver_on_lane(LaneInbox& inbox, Delivery d) {
-  // handlers_ is read-only during fabric traffic (attach/detach are
-  // setup-time operations), so the lookup needs no lock.
+  // The handler table is lane-safe (see attach), so the lookup needs no lock.
   TaggedHandler* handler = handler_of(d.to);
   if (handler == nullptr) {
     ++inbox.undeliverable;
@@ -312,7 +329,7 @@ void Network::deliver(std::uint32_t slot) {
     return;
   }
   ++delivered_;
-  ++received_[d.to];  // sized with handlers_ by attach
+  ++received_[d.to];  // sized by attach
   (*handler)(d.from, d.payload, d.tag);
 }
 

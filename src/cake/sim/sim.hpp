@@ -18,6 +18,7 @@
 #include <map>
 #include <memory>
 #include <memory_resource>
+#include <mutex>
 #include <span>
 #include <unordered_map>
 #include <vector>
@@ -169,13 +170,18 @@ public:
   using Interceptor = std::function<FaultAction(NodeId from, NodeId to,
                                                 const Payload& payload)>;
 
-  explicit Network(Scheduler& scheduler, Time default_latency = 1000)
-      : scheduler_(scheduler), default_latency_(default_latency) {}
+  explicit Network(Scheduler& scheduler, Time default_latency = 1000);
 
-  /// Registers (or replaces) the receive handler of `node`.
+  /// Registers (or replaces) the receive handler of `node`. Safe while
+  /// other lanes deliver (a node joining a running Threaded overlay): no
+  /// reader ever sees the handler table move. Throws std::out_of_range for
+  /// ids at or beyond `kMaxNodes`.
   void attach(NodeId node, Handler handler);
   /// Registers (or replaces) a tag-aware receive handler of `node`.
   void attach(NodeId node, TaggedHandler handler);
+
+  /// Node ids the handler table can hold (ids are dense, numbered from 0).
+  static constexpr std::size_t kMaxNodes = std::size_t{1} << 22;
 
   /// Removes the handler of `node`: models a crashed or disconnected
   /// process. In-flight and future messages to it are dropped silently —
@@ -230,8 +236,8 @@ public:
   /// Fabric-mode restrictions: virtual-time latency modelling, the loss
   /// process, and fault interceptors are sim-only (chaos runs on the
   /// virtual-time oracle) — binding with either active throws, as does
-  /// installing one afterwards. attach/detach become setup-time operations
-  /// (before traffic or after Transport::drain()), and the accounting
+  /// installing one afterwards. attach/detach may run on any lane while
+  /// traffic flows (the handler table is lane-safe), and the accounting
   /// accessors give exact totals only at quiescence; the per-event
   /// counters underneath are per-lane slots aggregated at read.
   void bind_lanes(runtime::Transport& transport,
@@ -308,7 +314,11 @@ private:
 
   /// The receive handler of `node`, or null when it is not attached.
   [[nodiscard]] TaggedHandler* handler_of(NodeId node) const noexcept {
-    return node < handlers_.size() ? handlers_[node].get() : nullptr;
+    if (node >= kMaxNodes) return nullptr;
+    const HandlerChunk* chunk =
+        handler_chunks_[node / kHandlerChunk].load(std::memory_order_acquire);
+    if (chunk == nullptr) return nullptr;
+    return chunk->slots[node % kHandlerChunk].load(std::memory_order_acquire);
   }
 
   /// One directed link: its traffic so far and its latency, so a send
@@ -330,11 +340,22 @@ private:
   std::uint64_t delivered_ = 0;
   std::uint64_t undeliverable_ = 0;
   std::uint64_t duplicated_ = 0;
-  // Node ids are dense (the overlay numbers nodes from 0), so per-node
-  // tables are vectors indexed by id. Handlers sit behind a pointer: a
-  // handler that attaches another node may grow the table mid-call, and
-  // the handler being run must stay where it is.
-  std::vector<std::unique_ptr<TaggedHandler>> handlers_;
+  // Receive handlers by node id. Lanes read the table while another lane
+  // may attach a node, so nothing a reader can reach ever moves: slots sit
+  // in fixed-size chunks published through atomic pointers, and a replaced
+  // or detached handler is kept until the Network dies, since a lane (or
+  // the handler itself) may still be running it. Writers serialize on
+  // attach_mu_.
+  static constexpr std::size_t kHandlerChunk = 1024;
+  struct HandlerChunk {
+    std::atomic<TaggedHandler*> slots[kHandlerChunk]{};
+  };
+  std::unique_ptr<std::atomic<HandlerChunk*>[]> handler_chunks_;
+  std::vector<std::unique_ptr<HandlerChunk>> chunk_store_;
+  std::vector<std::unique_ptr<TaggedHandler>> handler_store_;
+  std::mutex attach_mu_;
+  // Sim-mode deliveries per node id, sized by attach (fabric mode counts
+  // per lane instead).
   std::vector<std::uint64_t> received_;
   std::unordered_map<std::uint64_t, Link> links_;
   LinkStats total_;

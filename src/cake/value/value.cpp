@@ -32,16 +32,14 @@ std::string_view to_string(Kind kind) noexcept {
   return "?";
 }
 
-Kind Value::kind() const noexcept {
-  const std::size_t index = repr_.index();
-  if (index == 5) return Kind::String;  // borrowed string
-  return static_cast<Kind>(index);
-}
+Kind Value::kind() const noexcept { return static_cast<Kind>(repr_.index()); }
 
-Value Value::to_owned() const {
-  if (const auto* s = std::get_if<std::string_view>(&repr_))
-    return Value{std::string{*s}};
-  return *this;
+void Value::assign_string(std::string_view s) {
+  if (auto* str = std::get_if<std::string>(&repr_)) {
+    str->assign(s);
+    return;
+  }
+  repr_.emplace<std::string>(s);
 }
 
 std::optional<double> Value::as_number() const noexcept {
@@ -55,11 +53,6 @@ std::optional<double> Value::as_number() const noexcept {
 bool Value::operator==(const Value& other) const noexcept {
   if (is_numeric() && other.is_numeric())
     return *as_number() == *other.as_number();
-  const Kind k = kind();
-  if (k != other.kind()) return false;
-  // Owned and borrowed strings are the same value; variant== would compare
-  // alternative indexes and miss that.
-  if (k == Kind::String) return as_string_view() == other.as_string_view();
   return repr_ == other.repr_;
 }
 
@@ -90,16 +83,11 @@ std::size_t Value::hash() const noexcept {
   if (const auto n = as_number()) {
     return std::hash<double>{}(*n) ^ 0x9e3779b97f4a7c15ULL;
   }
-  // Both string representations hash via string_view so owned/borrowed
-  // strings with equal contents collide, matching operator==.
   return std::visit(
       Overloaded{
           [](std::monostate) -> std::size_t { return 0x517cc1b727220a95ULL; },
           [](bool b) -> std::size_t { return std::hash<bool>{}(b) ^ 0x2545f4914f6cdd1dULL; },
           [](const std::string& s) -> std::size_t {
-            return std::hash<std::string_view>{}(s);
-          },
-          [](std::string_view s) -> std::size_t {
             return std::hash<std::string_view>{}(s);
           },
           [](auto) -> std::size_t { return 0; },  // numerics handled above
@@ -122,9 +110,6 @@ std::string Value::to_string() const {
             return buf;
           },
           [](const std::string& s) -> std::string { return '"' + s + '"'; },
-          [](std::string_view s) -> std::string {
-            return '"' + std::string{s} + '"';
-          },
       },
       repr_);
 }

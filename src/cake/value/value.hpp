@@ -44,37 +44,18 @@ public:
     return kind() == Kind::Int || kind() == Kind::Double;
   }
 
-  /// Wraps `s` without copying. The caller guarantees the referenced bytes
-  /// outlive the Value (borrowed decode over an inbound packet buffer —
-  /// DESIGN.md §9). Borrowed and owned strings are indistinguishable to
-  /// kind()/==/compare/hash; only storage differs.
-  [[nodiscard]] static Value borrow(std::string_view s) noexcept {
-    Value v;
-    v.repr_ = s;
-    return v;
-  }
-
-  /// True when this is a borrowed string (view into someone else's buffer).
-  [[nodiscard]] bool is_borrowed() const noexcept { return repr_.index() == 5; }
-
-  /// Deep copy: borrowed strings become owned; everything else is copied
-  /// as-is. Use before storing a borrowed-decoded value past the lifetime
-  /// of its packet buffer.
-  [[nodiscard]] Value to_owned() const;
+  /// Makes this the string `s`, reusing the storage of a string it already
+  /// holds (a decode into a recycled value allocates nothing once warm).
+  void assign_string(std::string_view s);
 
   /// Checked accessors; throw std::bad_variant_access on kind mismatch.
   [[nodiscard]] bool as_bool() const { return std::get<bool>(repr_); }
   [[nodiscard]] std::int64_t as_int() const { return std::get<std::int64_t>(repr_); }
   [[nodiscard]] double as_double() const { return std::get<double>(repr_); }
-  /// Owned-string accessor; throws on borrowed strings — hot-path code must
-  /// use `as_string_view()`, which accepts both representations.
   [[nodiscard]] const std::string& as_string() const {
     return std::get<std::string>(repr_);
   }
-  [[nodiscard]] std::string_view as_string_view() const {
-    if (const auto* s = std::get_if<std::string>(&repr_)) return *s;
-    return std::get<std::string_view>(repr_);
-  }
+  [[nodiscard]] std::string_view as_string_view() const { return as_string(); }
 
   /// Numeric view regardless of int/double representation; nullopt otherwise.
   [[nodiscard]] std::optional<double> as_number() const noexcept;
@@ -94,11 +75,8 @@ public:
   [[nodiscard]] std::string to_string() const;
 
 private:
-  // Index 5 (string_view) is a *borrowed* string: same Kind::String, zero
-  // copies. kind() folds it onto Kind::String.
-  std::variant<std::monostate, bool, std::int64_t, double, std::string,
-               std::string_view>
-      repr_;
+  // Alternative index == Kind.
+  std::variant<std::monostate, bool, std::int64_t, double, std::string> repr_;
 };
 
 }  // namespace cake::value

@@ -11,6 +11,11 @@ namespace {
 // Bounded so a burst can't pin unbounded capacity.
 constexpr std::size_t kMaxPooled = 64;
 
+// Capacity of a buffer minted on a pool miss: room for a typical event
+// frame (~100 bytes), so encoding one does not regrow the vector byte by
+// doubling byte. Larger frames still grow as needed.
+constexpr std::size_t kFreshCapacity = 128;
+
 std::vector<std::vector<std::byte>>& pool() {
   thread_local std::vector<std::vector<std::byte>> buffers;
   return buffers;
@@ -20,7 +25,11 @@ std::vector<std::vector<std::byte>>& pool() {
 
 std::vector<std::byte> acquire_buffer() {
   auto& p = pool();
-  if (p.empty()) return {};
+  if (p.empty()) {
+    std::vector<std::byte> fresh;
+    fresh.reserve(kFreshCapacity);
+    return fresh;
+  }
   std::vector<std::byte> buf = std::move(p.back());
   p.pop_back();
   buf.clear();
@@ -60,6 +69,8 @@ detail::FrameHolder* Frame::make_holder(std::vector<std::byte> buf) {
     h->buf = std::move(buf);
     h->refs.store(1, std::memory_order_relaxed);
     h->verified.store(false, std::memory_order_relaxed);
+    // The memo object stays (its capacity is reused), its contents do not.
+    h->memo_state.store(detail::kMemoEmpty, std::memory_order_relaxed);
     return h;
   }
   Holder* h = new Holder;

@@ -10,24 +10,45 @@
 // holder nodes themselves are pooled, so producing a fresh Frame in steady
 // state performs zero heap allocations — required by the link layer, which
 // encodes standalone ACK frames on the per-event hot path.
+//
+// A holder also carries one memo: whatever a receiver derived from the
+// bytes (`memoize`; the routing layer keeps the decoded event there), so
+// every later hop and receiver of the same Frame reads it instead of
+// decoding again (DESIGN.md §9).
 #pragma once
 
 #include <algorithm>
 #include <atomic>
+#include <cassert>
 #include <cstddef>
 #include <cstdint>
 #include <initializer_list>
+#include <memory>
 #include <span>
+#include <thread>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
 namespace cake::wire {
 
+/// Base of a per-frame memo (see `memoize`). The wire layer cannot know the
+/// types derived from frames, so the holder keeps the memo type-erased.
+class FrameMemo {
+public:
+  virtual ~FrameMemo() = default;
+};
+
 namespace detail {
+
+/// States of a holder's memo slot.
+enum MemoState : std::uint8_t { kMemoEmpty, kMemoFilling, kMemoReady };
+
 // Intrusive refcount node backing a Frame. Nodes cycle through a
 // thread-local freelist and their vector's capacity goes back to the buffer
 // pool on final release, so neither costs an allocation in steady state.
-// Internal to the wire module; only buffer.cpp and wire.cpp touch it.
+// Internal to the wire module; only buffer.cpp, wire.cpp and `memoize`
+// touch it.
 struct FrameHolder {
   std::vector<std::byte> buf;
   mutable std::atomic<std::uint32_t> refs{1};
@@ -35,10 +56,28 @@ struct FrameHolder {
   /// when the node is recycled. The bytes are immutable while the node is
   /// live, so the verdict holds for every later reader of the same frame.
   mutable std::atomic<bool> verified{false};
+  /// The memo slot: `memo_state` goes empty -> filling -> ready once per
+  /// issue of the node and back to empty when `make_holder` re-issues it.
+  /// The memo object itself stays with the pooled node, so a refill reuses
+  /// its capacity.
+  mutable std::atomic<std::uint8_t> memo_state{kMemoEmpty};
+  mutable std::unique_ptr<FrameMemo> memo;
 };
+
 }  // namespace detail
 
 class Frame;
+
+/// The memo of type `Memo` derived from `frame`'s bytes, built by
+/// `fill(Memo&)` the first time any holder of these bytes asks. `fill`
+/// overwrites whatever a previous issue of the pooled node left in the memo
+/// (reusing its capacity) and throws to report bad bytes: a failed fill is
+/// never memoized, so the next caller tries again. Exactly one thread fills;
+/// a concurrent caller waits for it (a fill is a short decode) and then
+/// shares the result. The memo lives as long as the frame's bytes, and every
+/// caller must ask for the same `Memo` type. `frame` must not be empty.
+template <class Memo, class Fill>
+[[nodiscard]] const Memo& memoize(const Frame& frame, Fill&& fill);
 
 /// Validates a frame the way `unframe` does, at most once per frame: the
 /// first successful check is memoized on the refcounted buffer, so every
@@ -48,8 +87,8 @@ class Frame;
 /// wire.cpp.
 [[nodiscard]] std::span<const std::byte> unframe_once(const Frame& framed);
 
-/// An empty vector with warm capacity from the thread-local pool (or a
-/// fresh one when the pool is empty).
+/// An empty vector with warm capacity from the thread-local pool, or a
+/// fresh one with room for a typical event frame when the pool is empty.
 [[nodiscard]] std::vector<std::byte> acquire_buffer();
 
 /// Returns a buffer's capacity to the thread-local pool (bounded; excess
@@ -128,6 +167,8 @@ public:
 private:
   friend class Writer;
   friend std::span<const std::byte> unframe_once(const Frame& framed);
+  template <class Memo, class Fill>
+  friend const Memo& memoize(const Frame& frame, Fill&& fill);
 
   using Holder = detail::FrameHolder;
 
@@ -149,5 +190,41 @@ private:
   Holder* holder_ = nullptr;
   std::size_t offset_ = 0;
 };
+
+template <class Memo, class Fill>
+const Memo& memoize(const Frame& frame, Fill&& fill) {
+  static_assert(std::is_base_of_v<FrameMemo, Memo>);
+  using detail::kMemoEmpty;
+  using detail::kMemoFilling;
+  using detail::kMemoReady;
+  const detail::FrameHolder* h = frame.holder_;
+  assert(h != nullptr);
+  std::uint8_t state = h->memo_state.load(std::memory_order_acquire);
+  while (state != kMemoReady) {
+    if (state == kMemoEmpty &&
+        h->memo_state.compare_exchange_weak(state, kMemoFilling,
+                                            std::memory_order_acquire)) {
+      // Ours to fill: no other thread touches the memo until it is ready.
+      auto* memo = dynamic_cast<Memo*>(h->memo.get());
+      if (memo == nullptr) {
+        h->memo = std::make_unique<Memo>();
+        memo = static_cast<Memo*>(h->memo.get());
+      }
+      try {
+        fill(*memo);
+      } catch (...) {
+        h->memo_state.store(kMemoEmpty, std::memory_order_release);
+        throw;
+      }
+      h->memo_state.store(kMemoReady, std::memory_order_release);
+      return *memo;
+    }
+    if (state == kMemoFilling) {
+      std::this_thread::yield();
+      state = h->memo_state.load(std::memory_order_acquire);
+    }
+  }
+  return static_cast<const Memo&>(*h->memo);
+}
 
 }  // namespace cake::wire

@@ -153,25 +153,19 @@ std::span<const std::byte> Reader::bytes(std::size_t n) {
 }
 
 Value Reader::value() {
-  const auto kind = static_cast<Kind>(u8());
-  switch (kind) {
-    case Kind::Null: return {};
-    case Kind::Bool: return Value{u8() != 0};
-    case Kind::Int: return Value{zigzag()};
-    case Kind::Double: return Value{f64()};
-    case Kind::String: return Value{string()};
-  }
-  throw WireError{"wire: unknown value kind"};
+  Value v;
+  value_into(v);
+  return v;
 }
 
-Value Reader::value_view() {
+void Reader::value_into(Value& out) {
   const auto kind = static_cast<Kind>(u8());
   switch (kind) {
-    case Kind::Null: return {};
-    case Kind::Bool: return Value{u8() != 0};
-    case Kind::Int: return Value{zigzag()};
-    case Kind::Double: return Value{f64()};
-    case Kind::String: return Value::borrow(string_view());
+    case Kind::Null: out = Value{}; return;
+    case Kind::Bool: out = Value{u8() != 0}; return;
+    case Kind::Int: out = Value{zigzag()}; return;
+    case Kind::Double: out = Value{f64()}; return;
+    case Kind::String: out.assign_string(string_view()); return;
   }
   throw WireError{"wire: unknown value kind"};
 }

@@ -93,9 +93,9 @@ public:
   /// Borrowed raw bytes (`n` of them), advancing the cursor.
   [[nodiscard]] std::span<const std::byte> bytes(std::size_t n);
   [[nodiscard]] value::Value value();
-  /// Like `value()` but decodes strings as borrowed views into the reader's
-  /// buffer (`Value::borrow`) — the zero-copy decode mode (DESIGN.md §9).
-  [[nodiscard]] value::Value value_view();
+  /// Like `value()` but decodes into `out`, reusing the storage of a string
+  /// it already holds.
+  void value_into(value::Value& out);
 
 private:
   std::span<const std::byte> buf_;

@@ -1,9 +1,10 @@
 // Allocation guard for the zero-allocation hot path (DESIGN.md §9).
 //
-// A counting `operator new` interposer pins the steady-state costs this PR
-// claims: an inner broker forwarding an EventMsg frame performs *zero* heap
-// allocations per event (borrowed decode + frame pass-through), and
-// `LocalBus::publish` settles to a small fixed constant. The interposer is
+// A counting `operator new` interposer pins the steady-state costs: an
+// inner broker forwarding an EventMsg frame, and a subscriber receiving
+// one, perform *zero* heap allocations per event (one decode per frame into
+// the recycled frame's memo, frame pass-through), and `LocalBus::publish`
+// settles to a small fixed constant. The interposer is
 // global to this binary, which is why these tests live in their own
 // executable instead of the GLOB'd cake_tests.
 
@@ -12,10 +13,13 @@
 #include <atomic>
 #include <cstdlib>
 #include <new>
+#include <optional>
+#include <string>
 
 #include "cake/filter/filter.hpp"
 #include "cake/link/link.hpp"
 #include "cake/routing/broker.hpp"
+#include "cake/routing/endpoints.hpp"
 #include "cake/routing/protocol.hpp"
 #include "cake/runtime/local_bus.hpp"
 #include "cake/runtime/sim_transport.hpp"
@@ -86,7 +90,20 @@ using filter::FilterBuilder;
 using filter::Op;
 using value::Value;
 
-// An inner broker in steady state: borrowed decode, frame pass-through.
+// A Publication image whose title is longer than the SSO buffer: a decode
+// that does not reuse the memo's string capacity allocates per event.
+event::EventImage long_title_image() {
+  return event::EventImage{
+      "Publication",
+      {{"year", Value{2002}},
+       {"conference", Value{"ICDCS"}},
+       {"author", Value{"Eugster"}},
+       {"title",
+        Value{"Event Systems: How to Have Your Cake and Eat It Too"}}}};
+}
+
+// An inner broker in steady state: decode memoized on the frame, frame
+// pass-through.
 // After warm-up (scratch capacities grown, symbols interned, hash maps
 // populated), re-delivering the same published frame must not allocate at
 // all — not in the network, not in the broker, not in the sink delivery.
@@ -104,8 +121,8 @@ TEST(AllocGuard, BrokerForwardPathIsAllocationFree) {
                          util::Rng{7}};
   broker.start();
 
-  // A plain sink stands in for the next hop (subscriber-edge decode is
-  // excluded by design: the owning decode happens once, at the edge).
+  // A plain sink stands in for the next hop (the subscriber edge has its
+  // own guard below).
   network.attach(2, [](sim::NodeId, const sim::Network::Payload&) {});
 
   // Install a filter the event matches, through the wire like a child would.
@@ -205,7 +222,9 @@ TEST(AllocGuard, ReliableForwardPathIsAllocationFree) {
 // Pooling recycles both the byte buffers and the intrusive refcount holder
 // nodes, so minting a fresh frame per event — as a publisher does — and
 // forwarding it through a broker is allocation-free in steady state. The
-// link layer relies on the same pools for its standalone ACK encodes.
+// broker decodes every fresh frame, into the memo its recycled holder kept,
+// so the guard runs a generated image and one with a long string. The link
+// layer relies on the same pools for its standalone ACK encodes.
 TEST(AllocGuard, FreshEventFramePerEventRecyclesBuffersAndHolders) {
   workload::ensure_types_registered();
   const auto& registry = reflect::TypeRegistry::global();
@@ -227,23 +246,86 @@ TEST(AllocGuard, FreshEventFramePerEventRecyclesBuffersAndHolders) {
   scheduler.run();
 
   workload::BiblioGenerator gen{{}, 2002};
-  const event::EventImage image = gen.next_event();
+  const event::EventImage images[] = {gen.next_event(), long_title_image()};
+  std::uint64_t event_id = 0;
+
+  for (const event::EventImage& image : images) {
+    SCOPED_TRACE(image.to_string());
+    for (int i = 0; i < 64; ++i) {
+      network.send(0, 1, routing::encode_event_frame(image, 0, ++event_id, 0));
+      scheduler.run();
+    }
+    const std::uint64_t forwarded_before = broker.stats().events_forwarded;
+
+    const std::uint64_t before = news();
+    for (int i = 0; i < 512; ++i) {
+      network.send(0, 1, routing::encode_event_frame(image, 0, ++event_id, 0));
+      scheduler.run();
+    }
+    EXPECT_EQ(news() - before, 0u)
+        << "a fresh frame per event should recycle buffers, holder nodes "
+           "and the memo's capacity";
+    EXPECT_EQ(broker.stats().events_forwarded, forwarded_before + 512);
+  }
+}
+
+// The subscriber edge: a fresh frame per event goes through a broker to a
+// SubscriberNode whose exact filter and handler run on every event, with a
+// title longer than the SSO buffer. The broker's decode is the only one
+// (into the recycled holder's memo, reusing its capacity); the subscriber
+// reads that memo. Steady-state delivery allocates nothing.
+TEST(AllocGuard, SubscriberEdgeDeliveryIsAllocationFree) {
+  workload::ensure_types_registered();
+  const auto& registry = reflect::TypeRegistry::global();
+
+  sim::Scheduler scheduler;
+  runtime::SimTransport transport{scheduler};
+  sim::Network network{scheduler, 10};
+
+  routing::BrokerConfig broker_config;
+  broker_config.auto_renew = false;
+  routing::Broker broker{1, 1, network, transport, registry, broker_config,
+                         util::Rng{7}};
+  broker.start();
+  routing::SubscriberConfig sub_config;
+  sub_config.auto_renew = false;
+  routing::SubscriberNode subscriber{2,         1,        network, transport,
+                                     registry, sub_config};
+  subscriber.start();
+
+  std::uint64_t handled = 0;
+  std::size_t title_bytes = 0;
+  const std::uint64_t token = subscriber.subscribe(
+      FilterBuilder{"Publication"}.where("year", Op::Eq, Value{2002}).build(),
+      [&handled, &title_bytes](const event::EventImage& e) {
+        ++handled;
+        title_bytes += e.find("title")->as_string().size();
+      });
+  scheduler.run();
+  ASSERT_EQ(subscriber.accepted_at(token), std::optional<sim::NodeId>{1});
+
+  const event::EventImage image = long_title_image();
+  const std::size_t title_size = image.find("title")->as_string().size();
+  ASSERT_GT(title_size, std::string{}.capacity());  // past the SSO buffer
   std::uint64_t event_id = 0;
 
   for (int i = 0; i < 64; ++i) {
     network.send(0, 1, routing::encode_event_frame(image, 0, ++event_id, 0));
     scheduler.run();
   }
-  const std::uint64_t forwarded_before = broker.stats().events_forwarded;
+  ASSERT_EQ(handled, 64u);
 
+  constexpr std::uint64_t kEvents = 512;
   const std::uint64_t before = news();
-  for (int i = 0; i < 512; ++i) {
+  for (std::uint64_t i = 0; i < kEvents; ++i) {
     network.send(0, 1, routing::encode_event_frame(image, 0, ++event_id, 0));
     scheduler.run();
   }
   EXPECT_EQ(news() - before, 0u)
-      << "a fresh frame per event should recycle buffers and holder nodes";
-  EXPECT_EQ(broker.stats().events_forwarded, forwarded_before + 512);
+      << "steady-state subscriber-edge delivery allocated on the heap";
+  EXPECT_EQ(handled, 64u + kEvents);
+  EXPECT_EQ(subscriber.stats().events_delivered, 64u + kEvents);
+  EXPECT_EQ(title_bytes, (64u + kEvents) * title_size);
 }
 
 // LocalBus::publish: the typed event -> image extraction reuses a

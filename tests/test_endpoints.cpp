@@ -7,7 +7,9 @@
 
 #include <algorithm>
 
+#include "cake/routing/broker.hpp"
 #include "cake/routing/overlay.hpp"
+#include "cake/runtime/sim_transport.hpp"
 #include "cake/workload/generators.hpp"
 
 namespace cake::routing {
@@ -287,6 +289,116 @@ TEST_F(EndpointsTest, TypedPublishExtractsImageViaReflection) {
   publisher_->publish(workload::Stock{"BBB", 60.0, 10});
   overlay_->run();
   EXPECT_EQ(symbols, std::vector<std::string>{"AAA"});
+}
+
+// An image with every value kind the wire carries, a string longer than
+// the SSO buffer, and opaque bytes.
+EventImage rich_image(std::string title) {
+  return EventImage{"Publication",
+                    {{"year", Value{2002}},
+                     {"title", Value{std::move(title)}},
+                     {"score", Value{9.75}},
+                     {"open", Value{true}},
+                     {"note", Value{}}},
+                    {std::byte{0xca}, std::byte{0xfe}, std::byte{0x00}}};
+}
+
+TEST(DecodeEventOnce, MemoEqualsTheFullDecode) {
+  const std::string title(40, 't');
+  const sim::Network::Payload frame =
+      encode_event_frame(rich_image(title), 123, 77, 9);
+  const EventMsg& memo = decode_event_once(frame);
+  const EventMsg full = std::get<EventMsg>(decode(frame.bytes()));
+  EXPECT_EQ(memo.image, full.image);
+  EXPECT_EQ(memo.image.opaque(), full.image.opaque());
+  EXPECT_EQ(memo.published_at, full.published_at);
+  EXPECT_EQ(memo.event_id, full.event_id);
+  EXPECT_EQ(memo.trace_id, full.trace_id);
+  EXPECT_EQ(memo.image.find("title")->as_string(), title);  // owned string
+  EXPECT_EQ(memo.image.find("score")->as_double(), 9.75);
+  EXPECT_TRUE(memo.image.find("open")->as_bool());
+  EXPECT_TRUE(memo.image.find("note")->is_null());
+  // Every other holder of the frame reads the same memo.
+  const sim::Network::Payload copy = frame;
+  EXPECT_EQ(&decode_event_once(copy), &memo);
+}
+
+TEST(DecodeEventOnce, RecycledFrameNeverServesAStaleMemo) {
+  const EventMsg* first = nullptr;
+  {
+    const sim::Network::Payload a =
+        encode_event_frame(rich_image("A: " + std::string(30, 'a')), 1, 1, 0);
+    first = &decode_event_once(a);
+    EXPECT_EQ(first->event_id, 1u);
+  }  // the node returns to the thread-local freelist, memo and all
+  const EventImage b_image = rich_image("B: " + std::string(30, 'b'));
+  const sim::Network::Payload b = encode_event_frame(b_image, 2, 2, 0);
+  const EventMsg& memo = decode_event_once(b);
+  EXPECT_EQ(&memo, first);  // LIFO freelist: the recycled node's memo
+  EXPECT_EQ(memo.event_id, 2u);
+  EXPECT_EQ(memo.published_at, 2u);
+  EXPECT_EQ(memo.image, b_image);
+}
+
+TEST(DecodeEventOnce, CorruptCopyThrowsAndLeavesTheOriginalMemoIntact) {
+  const EventImage image = rich_image(std::string(32, 'c'));
+  const sim::Network::Payload good = encode_event_frame(image, 5, 6, 7);
+  const EventMsg& memo = decode_event_once(good);
+  std::vector<std::byte> bytes{good.begin(), good.end()};
+  bytes[bytes.size() / 2] ^= std::byte{0x01};
+  const sim::Network::Payload bad{std::move(bytes)};
+  // Never memoized: every receiver of the corrupt copy sees the failure.
+  for (int i = 0; i < 3; ++i)
+    EXPECT_THROW((void)decode_event_once(bad), wire::WireError);
+  EXPECT_EQ(&decode_event_once(good), &memo);
+  EXPECT_EQ(memo.image, image);
+  EXPECT_EQ(memo.event_id, 6u);
+}
+
+TEST(DecodeEventOnce, RejectsEmptyAndNonEventFrames) {
+  EXPECT_THROW((void)decode_event_once(sim::Network::Payload{}),
+               wire::WireError);
+  const sim::Network::Payload control{encode(Detach{3})};
+  EXPECT_THROW((void)decode_event_once(control), wire::WireError);
+}
+
+// A broker forwards one frame to both of its subscribers: the broker's
+// decode is the only one, and both handlers read that memo's image.
+TEST(DecodeEventOnce, SubscribersOfOneFrameReadTheBrokersDecode) {
+  workload::ensure_types_registered();
+  const auto& registry = reflect::TypeRegistry::global();
+  sim::Scheduler scheduler;
+  runtime::SimTransport transport{scheduler};
+  sim::Network network{scheduler, 10};
+  BrokerConfig broker_config;
+  broker_config.auto_renew = false;
+  Broker broker{1, 1, network, transport, registry, broker_config,
+                util::Rng{7}};
+  broker.start();
+  SubscriberConfig sub_config;
+  sub_config.auto_renew = false;
+  SubscriberNode alice{2, 1, network, transport, registry, sub_config};
+  SubscriberNode bob{3, 1, network, transport, registry, sub_config};
+  alice.start();
+  bob.start();
+  std::vector<const EventImage*> seen;
+  const auto record = [&seen](const EventImage& image) {
+    seen.push_back(&image);
+  };
+  alice.subscribe(FilterBuilder{"Publication"}.build(), record);
+  bob.subscribe(FilterBuilder{"Publication"}
+                    .where("year", Op::Eq, Value{2002})
+                    .build(),
+                record);
+  scheduler.run();
+
+  const sim::Network::Payload frame =
+      encode_event_frame(rich_image(std::string(24, 'x')), 0, 1, 0);
+  network.send(0, 1, frame);
+  scheduler.run();
+  ASSERT_EQ(seen.size(), 2u);
+  EXPECT_EQ(seen[0], &decode_event_once(frame).image);
+  EXPECT_EQ(seen[1], seen[0]);
 }
 
 }  // namespace

@@ -229,6 +229,46 @@ TEST(Wire, RecycledFrameHolderStartsUnverified) {
   EXPECT_THROW((void)unframe_once(bad), WireError);
 }
 
+// A toy per-frame memo: the payload length, and how often it was filled.
+struct LengthMemo final : FrameMemo {
+  std::size_t length = 0;
+  int fills = 0;
+};
+
+const LengthMemo& length_of(const Frame& f) {
+  return memoize<LengthMemo>(f, [&f](LengthMemo& memo) {
+    memo.length = unframe_once(f).size();
+    ++memo.fills;
+  });
+}
+
+TEST(FrameMemo, FilledOnceAndSharedByEveryCopyOfTheFrame) {
+  const Frame f = pooled_frame("payload");
+  const LengthMemo& first = length_of(f);
+  for (const Frame& receiver : std::vector<Frame>(3, f))
+    EXPECT_EQ(&length_of(receiver), &first);
+  EXPECT_EQ(first.length, unframe(f.bytes()).size());
+  EXPECT_EQ(first.fills, 1);
+}
+
+TEST(FrameMemo, AFailedFillIsNeverMemoized) {
+  const Frame bad{corrupted(pooled_frame("payload"))};
+  for (int i = 0; i < 3; ++i) EXPECT_THROW((void)length_of(bad), WireError);
+}
+
+TEST(FrameMemo, RecycledHolderRefillsTheMemoItKeeps) {
+  const LengthMemo* kept = nullptr;
+  {
+    const Frame a = pooled_frame("payload");
+    kept = &length_of(a);
+  }  // last reference gone: the node and its memo return to the freelist
+  const Frame b = pooled_frame("a longer payload");
+  const LengthMemo& memo = length_of(b);
+  EXPECT_EQ(&memo, kept);  // LIFO freelist: same node, same memo object
+  EXPECT_EQ(memo.length, unframe(b.bytes()).size());
+  EXPECT_EQ(memo.fills, 2);
+}
+
 TEST(Wire, RawAppendsVerbatim) {
   Writer inner;
   inner.u8(1);
