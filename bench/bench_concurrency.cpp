@@ -1,4 +1,5 @@
-// Experiments A12 + A16 — concurrent publish throughput of LocalBus.
+// Experiments A12 + A19 — concurrent publish throughput of LocalBus, and
+// the broker overlay on ThreadedTransport.
 //
 // Measures N publisher threads pushing events through one bus's sharded
 // matching engine (per-shard reader–writer snapshot), against the same bus
@@ -15,14 +16,6 @@
 // is flat — the "vs 1 thread" column is only meaningful with
 // hardware_concurrency ≥ the thread count.
 //
-// A16 (threaded transport scaling) runs the same multi-type workload
-// through the batched event pipeline on a ThreadedTransport, sweeping the
-// worker count: producers stage refcounted events, lanes drain batches,
-// matching runs on the workers. The delivery count is differential-gated
-// against the direct sharded bus on an identical event stream — the
-// pipeline is a routing layer, so it must deliver bit-for-bit the same
-// multiset of (filter, event) hits. Writes BENCH_threaded.json for the CI
-// perf-trend gate; exits 1 on any delivery mismatch.
 // A19 (threaded overlay data plane) drives a full multi-broker hierarchy —
 // publishers → root → inner stage → leaves → subscribers — end-to-end on
 // ThreadedTransport, sweeping workers 1/2/4/8. Every arm's per-subscriber
@@ -44,8 +37,6 @@
 #include "cake/metrics/metrics.hpp"
 #include "cake/routing/overlay.hpp"
 #include "cake/runtime/local_bus.hpp"
-#include "cake/runtime/pipeline.hpp"
-#include "cake/runtime/threaded.hpp"
 #include "cake/util/table.hpp"
 #include "cake/workload/generators.hpp"
 #include "cake/workload/types.hpp"
@@ -189,23 +180,6 @@ Run run_workload(bool multi_type, int threads, int events_per_thread,
   return Run{total / elapsed.count(), delivered.load()};
 }
 
-/// Refcounted flavour of publish_one for the pipeline arm — same (type, i)
-/// stream, so deliveries must match the direct arms exactly.
-runtime::EventPtr make_event(const char* type, int i) {
-  const double price = double(i % kFiltersPerType);
-  switch (type[0]) {
-    case 'S':
-      return std::make_shared<const workload::Stock>("SYM", price, i);
-    case 'A':
-      return std::make_shared<const workload::Auction>("lot", price);
-    case 'C':
-      return std::make_shared<const workload::CarAuction>(price, 5, 4);
-    default:
-      return std::make_shared<const workload::Publication>(
-          1900 + (i % kFiltersPerType), "ICDCS", "author", "title");
-  }
-}
-
 /// Scoped CAKE_THREADS pin so the sweep really runs `workers` lanes even
 /// on hosts with fewer cores (the bench is explicit opt-in load).
 class ThreadsEnvPin {
@@ -224,58 +198,6 @@ public:
 private:
   std::string previous_;
 };
-
-struct ThreadedRun {
-  std::size_t workers = 0;
-  int producers = 0;
-  double events_per_sec = 0.0;
-  std::uint64_t delivered = 0;
-};
-
-// A16: producers → Producer staging handles → transport lanes → shards.
-ThreadedRun run_pipeline(std::size_t workers, int producers,
-                         int events_per_thread) {
-  const ThreadsEnvPin pin{workers};
-  runtime::ThreadedTransport transport{
-      runtime::ThreadedOptions{.workers = workers}};
-
-  runtime::BusOptions options;
-  options.engine = index::Engine::Counting;
-  options.shards = kShards;
-  runtime::LocalBus bus{options};
-  std::atomic<std::uint64_t> delivered{0};
-  populate(bus, delivered);
-
-  runtime::EventPipeline pipeline{transport, bus, {}};
-  std::atomic<int> ready{0};
-  std::atomic<bool> go{false};
-  std::vector<std::thread> threads;
-  threads.reserve(producers);
-  for (int t = 0; t < producers; ++t) {
-    threads.emplace_back([&, t] {
-      const char* type = kTypes[t % 4];
-      runtime::EventPipeline::Producer producer{pipeline};
-      ready.fetch_add(1, std::memory_order_release);
-      while (!go.load(std::memory_order_acquire)) std::this_thread::yield();
-      for (int i = 0; i < events_per_thread; ++i)
-        producer.publish(make_event(type, i));
-      // ~Producer flushes the partial tail batches.
-    });
-  }
-  while (ready.load(std::memory_order_acquire) != producers)
-    std::this_thread::yield();
-
-  const auto start = std::chrono::steady_clock::now();
-  go.store(true, std::memory_order_release);
-  for (auto& thread : threads) thread.join();
-  pipeline.drain();
-  const std::chrono::duration<double> elapsed =
-      std::chrono::steady_clock::now() - start;
-
-  const double total = double(producers) * double(events_per_thread);
-  return ThreadedRun{transport.workers(), producers, total / elapsed.count(),
-                     delivered.load()};
-}
 
 // ---- A19: broker overlay on ThreadedTransport -------------------------
 
@@ -443,73 +365,6 @@ int main(int argc, char** argv) {
   std::cout << "multi-type speedup at 4 publisher threads vs 1: "
             << util::format_number(speedup_at_4) << "x\n";
 
-  // ---- A16: threaded transport scaling --------------------------------
-  std::cout << "\n=== A16: Batched pipeline over ThreadedTransport ===\n"
-            << "multi-type workload, batch 32, workers = producers\n\n";
-  util::TextTable threaded_table{
-      {"Workers", "Pipeline ev/s", "Direct sharded ev/s", "Delivered"}};
-  std::vector<ThreadedRun> runs;
-  bool deliveries_ok = true;
-  for (const std::size_t workers : {std::size_t{1}, std::size_t{2},
-                                    std::size_t{4}, std::size_t{8}}) {
-    const int producers = static_cast<int>(workers);
-    const ThreadedRun run =
-        run_pipeline(workers, producers, events_per_thread);
-    // Differential delivery gate: the direct sharded bus on the identical
-    // (type, i) stream is the oracle for what the pipeline must deliver.
-    const Run direct =
-        run_workload(/*multi_type=*/true, producers, events_per_thread);
-    threaded_table.add_row({std::to_string(run.workers),
-                            util::format_number(run.events_per_sec),
-                            util::format_number(direct.events_per_sec),
-                            std::to_string(run.delivered)});
-    if (run.delivered != direct.delivered) {
-      std::cout << "DELIVERY MISMATCH at " << workers
-                << " workers: pipeline=" << run.delivered
-                << " direct=" << direct.delivered << "\n";
-      deliveries_ok = false;
-    }
-    runs.push_back(run);
-  }
-  threaded_table.print(std::cout);
-
-  const double speedup_4v1 =
-      runs.size() >= 3 && runs[0].events_per_sec > 0.0
-          ? runs[2].events_per_sec / runs[0].events_per_sec
-          : 0.0;
-  std::cout << "\npipeline speedup, 4 workers vs 1: "
-            << util::format_number(speedup_4v1)
-            << "x (hardware_concurrency = "
-            << std::thread::hardware_concurrency() << ")\n";
-  // Scaling re-gate: the flatline this caught traced to cross-lane shared
-  // state on the per-event path (the interner's read lock, the bus's
-  // shared stat counters), since made wait-free / per-lane. Only enforced
-  // where 4 lanes can actually run in parallel.
-  if (std::thread::hardware_concurrency() >= 4 && speedup_4v1 < 1.3) {
-    std::cout << "PIPELINE SCALING REGRESSION: 4-worker speedup "
-              << util::format_number(speedup_4v1)
-              << "x < 1.3x on a multi-core host\n";
-    deliveries_ok = false;
-  }
-
-  {
-    std::ofstream json{"BENCH_threaded.json"};
-    json << "{\n  \"experiment\": \"A16\",\n  \"events_per_thread\": "
-         << events_per_thread << ",\n  \"arms\": [\n";
-    for (std::size_t i = 0; i < runs.size(); ++i) {
-      const ThreadedRun& run = runs[i];
-      json << "    {\"workers\": " << run.workers
-           << ", \"producers\": " << run.producers
-           << ", \"events_per_sec\": " << run.events_per_sec
-           << ", \"delivered\": " << run.delivered << "}"
-           << (i + 1 < runs.size() ? "," : "") << "\n";
-    }
-    json << "  ],\n  \"speedup_4_workers_vs_1\": " << speedup_4v1
-         << ",\n  \"deliveries_ok\": " << (deliveries_ok ? "true" : "false")
-         << "\n}\n";
-    std::cout << "Wrote BENCH_threaded.json\n";
-  }
-
   // ---- A19: broker overlay on ThreadedTransport -----------------------
   std::cout << "\n=== A19: Broker overlay end-to-end on ThreadedTransport ===\n"
             << "stages {1,2,4}, " << kOverlayPublishers << " publishers, "
@@ -588,5 +443,5 @@ int main(int argc, char** argv) {
          << "\n}\n";
     std::cout << "Wrote BENCH_overlay.json\n";
   }
-  return deliveries_ok && overlay_ok && overlay_scaling_ok ? 0 : 1;
+  return overlay_ok && overlay_scaling_ok ? 0 : 1;
 }

@@ -10,8 +10,8 @@
 //   * `QueueHealth` — the per-queue hysteresis state machine
 //     Healthy → Backpressured → Shedding (Quarantining is imposed from
 //     outside by the broker's slow-child detector);
-//   * `OverloadPolicy` — what a producer does at the high watermark:
-//     block until the queue drains, or shed and account for it;
+//   * `push_bounded` — the drop-oldest append every parking pen uses
+//     (grace pen, slow-child pens, detached-durable buffers, stall inbox);
 //   * startup validation for documented invariants that were previously
 //     only prose: `rto_max` ≪ lease TTL, `heartbeat_misses ≥ 2`, the
 //     dedup-capacity sizing rule, and watermark ordering.
@@ -24,8 +24,10 @@
 #pragma once
 
 #include <cstdint>
+#include <deque>
 #include <string>
 #include <string_view>
+#include <utility>
 
 namespace cake::health {
 
@@ -42,11 +44,18 @@ enum class NodeState : std::uint8_t {
 
 [[nodiscard]] std::string_view to_string(NodeState state) noexcept;
 
-/// What a producer does when its queue crosses the high watermark.
-enum class OverloadPolicy : std::uint8_t {
-  Block,  ///< wait for the queue to drain below high (lossless, lossy latency)
-  Shed,   ///< drop the newest event and count it (lossy, bounded latency)
-};
+/// Appends `item` to a drop-oldest pen of at most `limit` entries. Returns
+/// false when the append cost a frame the caller must count as shed: the
+/// oldest entry, or `item` itself when `limit` is 0 (a pen that holds
+/// nothing).
+template <typename T>
+bool push_bounded(std::deque<T>& pen, std::size_t limit, T item) {
+  if (limit == 0) return false;
+  const bool room = pen.size() < limit;
+  if (!room) pen.pop_front();
+  pen.push_back(std::move(item));
+  return room;
+}
 
 /// The low/high/capacity triple of one bounded queue. `low` is the drain
 /// target hysteresis recovers at, `high` the point backpressure engages,

@@ -184,13 +184,14 @@ ShedLedger shed_ledger(routing::Overlay& overlay) {
     const routing::SubscriberStats& s = subscriber->stats();
     ledger.delivered += s.events_delivered;
     ledger.stall_dropped += s.stall_inbox_dropped;
+    ledger.parked += subscriber->parked();
   }
   for (const auto& broker : overlay.brokers()) {
     const routing::BrokerStats s = broker->stats();
     ledger.pen_dropped += s.events_pen_dropped;
     ledger.quarantine_dropped += s.events_quarantine_dropped;
     ledger.buffer_overflows += s.buffer_overflows;
-    ledger.quarantine_parked += broker->quarantine_pen_size();
+    ledger.parked += broker->parked();
   }
   ledger.link_shed = overlay.link_counters().events_shed;
   ledger.undeliverable = overlay.network().undeliverable();
@@ -209,7 +210,7 @@ util::TextTable shed_table(const ShedLedger& ledger) {
   row("Shed: quarantine pen evicted", ledger.quarantine_dropped);
   row("Shed: stall inbox evicted", ledger.stall_dropped);
   row("Shed: durable buffer evicted", ledger.buffer_overflows);
-  row("Parked in quarantine pens", ledger.quarantine_parked);
+  row("Parked in pens", ledger.parked);
   row("Undeliverable (dead peers)", ledger.undeliverable);
   // Fan-out makes this signed: delivered counts per-subscriber copies, so
   // a multi-subscriber workload drives it negative. The overload oracle

@@ -150,7 +150,7 @@ struct ShedLedger {
   std::uint64_t link_shed = 0;     ///< link tx queue full, drop-newest
   std::uint64_t pen_dropped = 0;   ///< grace-pen eviction (oldest)
   std::uint64_t quarantine_dropped = 0;  ///< slow-child pen eviction
-  std::uint64_t quarantine_parked = 0;   ///< still penned (in-flight)
+  std::uint64_t parked = 0;              ///< still in a pen (in-flight)
   std::uint64_t stall_dropped = 0;       ///< stalled-consumer inbox eviction
   std::uint64_t buffer_overflows = 0;    ///< durable detach buffer eviction
   std::uint64_t undeliverable = 0;  ///< frames to crashed/detached nodes

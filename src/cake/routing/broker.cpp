@@ -469,13 +469,10 @@ void Broker::fan_out(const sim::Network::Payload& payload) {
       // With a journal the frame is already logged and the detached
       // subscriber's cursor replay serves it on Resume. Without one the
       // buffer keeps the frame itself — a refcount, not a copy.
-      if (journal_ == nullptr) {
-        if (buffer->second.size() >= config_.durable_buffer_limit) {
-          buffer->second.pop_front();  // bound memory: drop the oldest
-          ++stats_.buffer_overflows;
-        }
-        buffer->second.push_back(payload);
-      }
+      if (journal_ == nullptr &&
+          !health::push_bounded(buffer->second, config_.durable_buffer_limit,
+                                payload))
+        ++stats_.buffer_overflows;
       ++stats_.events_buffered;
       continue;
     }
@@ -729,13 +726,11 @@ void Broker::renew_task() {
 }
 
 void Broker::park_unmatched(const sim::Network::Payload& payload) {
-  if (pen_.size() >= kMatchGraceLimit) {
-    // Drop-oldest eviction is a real loss during a heal; count it so a
-    // chaos run can tell an undersized pen from a closed race.
+  // Drop-oldest eviction is a real loss during a heal; count it so a
+  // chaos run can tell an undersized pen from a closed race.
+  if (!health::push_bounded(pen_, kMatchGraceLimit,
+                            Parked{payload, transport_.now()}))
     ++stats_.events_pen_dropped;
-    pen_.pop_front();
-  }
-  pen_.push_back({payload, transport_.now()});
   ++stats_.events_parked;
   if (!pen_task_.running()) pen_task_.start();
 }
@@ -832,12 +827,10 @@ void Broker::quarantine_child(sim::NodeId target, ChildHealth& ch) {
 
 void Broker::park_quarantined(ChildHealth& ch,
                               const sim::Network::Payload& payload) {
-  if (ch.pen.size() >= config_.quarantine_pen_limit) {
-    ch.pen.pop_front();  // bound memory: drop the oldest, and account for it
+  if (!health::push_bounded(ch.pen, config_.quarantine_pen_limit, payload)) {
     ++ch.dropped;
     ++stats_.events_quarantine_dropped;
   }
-  ch.pen.push_back(payload);
   ++stats_.events_quarantined;
 }
 

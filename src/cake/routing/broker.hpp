@@ -226,6 +226,13 @@ public:
     for (const auto& [child, ch] : child_health_) total += ch.pen.size();
     return total;
   }
+  /// Frames currently parked in any of this broker's pens: the grace pen,
+  /// the slow-child pens and the detached-durable buffers.
+  [[nodiscard]] std::size_t parked() const noexcept {
+    std::size_t total = pen_.size() + quarantine_pen_size();
+    for (const auto& [child, buffer] : detached_) total += buffer.size();
+    return total;
+  }
   /// Frames evicted from `child`'s pen (drop-oldest), attributable to that
   /// child alone — the per-subscriber conservation oracle needs the split
   /// the aggregate stats_ counter cannot provide.

@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "cake/event/event.hpp"
+#include "cake/health/health.hpp"
 
 namespace cake::routing {
 
@@ -216,11 +217,9 @@ void SubscriberNode::on_packet(sim::NodeId from,
       // Stalled consumer: the protocol stack is alive but the application
       // stopped draining. Park the frame in the bounded inbox; control
       // traffic (joins, Expired, renewal replies) is handled normally.
-      if (stall_inbox_.size() >= config_.stall_inbox_limit) {
-        stall_inbox_.pop_front();  // bound memory: drop the oldest, counted
+      if (!health::push_bounded(stall_inbox_, config_.stall_inbox_limit,
+                                {from, payload}))
         ++stats_.stall_inbox_dropped;
-      }
-      stall_inbox_.emplace_back(from, payload);
       ++stats_.events_stalled;
       return;
     }

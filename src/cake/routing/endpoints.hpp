@@ -148,6 +148,10 @@ public:
   void unstall();
 
   [[nodiscard]] bool stalled() const noexcept { return stalled_; }
+  /// Event frames parked in the stall inbox, awaiting unstall().
+  [[nodiscard]] std::size_t parked() const noexcept {
+    return stall_inbox_.size();
+  }
 
   /// Explicit unsubscription (§4.3 optimization); stops renewals either way.
   void unsubscribe(std::uint64_t token);

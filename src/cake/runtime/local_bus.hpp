@@ -120,12 +120,6 @@ public:
     return index_.shard_stats();
   }
 
-  /// Shard this event class's filters live in — the pipeline pins it to a
-  /// transport lane so one class's matching always runs on one worker.
-  [[nodiscard]] std::size_t shard_of(std::string_view type_name) const {
-    return index_.shard_of(type_name);
-  }
-
 private:
   struct Subscription {
     Handler handler;

@@ -4,8 +4,8 @@
 // Each worker owns one `BoundedMpscQueue` of tasks and drains up to
 // `batch` of them per wakeup before touching its condition variable again,
 // so queue/wakeup costs amortize over N tasks — the same batching the
-// event pipeline (runtime/pipeline.hpp) applies a level up, where one task
-// carries N matched events. A dedicated timer thread keeps a deadline heap
+// delivery fabric (sim::Network::bind_lanes, DESIGN.md §14) applies to the
+// frames in its lane inboxes. A dedicated timer thread keeps a deadline heap
 // and posts due tasks onto the lane that *scheduled* them (lane affinity),
 // so a broker's timer callbacks run serialized with the rest of that
 // broker's work exactly as they do on the sim backend.

@@ -31,8 +31,8 @@
 //     backends.
 //   * `post(lane, fn)` serializes: two posts to the same lane never run
 //     concurrently and run in post order per producer. Posts to distinct
-//     lanes may run in parallel (and do, on the threaded backend — lanes
-//     map onto the `ShardedIndex` shards, see runtime/pipeline.hpp).
+//     lanes may run in parallel (and do, on the threaded backend — the
+//     delivery fabric maps each overlay node onto one lane, DESIGN.md §14).
 //   * Tasks may post/schedule reentrantly from inside a task.
 //
 // Ownership rule: the Transport outlives every object holding a reference
@@ -100,7 +100,7 @@ public:
   /// Runs `fn` as soon as the target lane gets to it (foreground).
   virtual void post(Task fn) = 0;
   /// Lane-addressed post: `lane % workers()` picks the executor. All tasks
-  /// on one lane are serialized; that is the lock the pipeline replaces.
+  /// on one lane are serialized; that is the lock the fabric relies on.
   virtual void post(std::size_t lane, Task fn) = 0;
 
   /// One-shot foreground timer `delay` from now. Fire-and-forget.

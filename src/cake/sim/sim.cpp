@@ -240,6 +240,14 @@ void Network::schedule_delivery(NodeId from, NodeId to, Time delay,
   scheduler_.schedule_after(delay, [this, slot] { deliver(slot); });
 }
 
+void Network::count_outside_send(NodeId from, NodeId to, std::size_t size) {
+  Fabric& f = *fabric_;
+  const std::lock_guard lock{f.overflow_mutex};
+  LinkStats& stats = f.send_slots.back().links[key(from, to)];
+  ++stats.messages;
+  stats.bytes += size;
+}
+
 void Network::threaded_send(NodeId from, NodeId to, Payload payload,
                             const LinkTag& tag) {
   Fabric& f = *fabric_;
@@ -249,9 +257,13 @@ void Network::threaded_send(NodeId from, NodeId to, Payload payload,
 
   f.messages.add(self, 1);
   f.bytes.add(self, size);
-  LinkStats& stats = f.send_slots[self < lanes ? self : lanes].links[key(from, to)];
-  ++stats.messages;
-  stats.bytes += size;
+  if (self < lanes) {
+    LinkStats& stats = f.send_slots[self].links[key(from, to)];
+    ++stats.messages;
+    stats.bytes += size;
+  } else {
+    count_outside_send(from, to, size);
+  }
 
   const std::size_t dst = f.lane_of(to) % lanes;
   LaneInbox& inbox = *f.inboxes[dst];

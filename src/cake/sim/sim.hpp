@@ -290,8 +290,8 @@ private:
   };
 
   /// Send-side per-link accounting slot: slot i is written only by lane
-  /// i's worker (the overflow slot only by non-worker threads during
-  /// setup), merged at read.
+  /// i's worker, the overflow slot by non-worker threads under
+  /// `overflow_mutex`; merged at read.
   struct alignas(64) SendSlot {
     std::unordered_map<std::uint64_t, LinkStats> links;
   };
@@ -303,12 +303,17 @@ private:
     std::size_t batch = 64;
     std::vector<std::unique_ptr<LaneInbox>> inboxes;
     std::vector<SendSlot> send_slots;  // workers + 1 overflow
+    std::mutex overflow_mutex;  // several outside threads may send at once
     metrics::LaneCounter messages;
     metrics::LaneCounter bytes;
   };
 
   void threaded_send(NodeId from, NodeId to, Payload payload,
                      const LinkTag& tag);
+  /// Link accounting of a send from a thread that is not a lane worker.
+  /// Out of line so threaded_send's frame stays small: the full-ring
+  /// help-drain path recurses through it.
+  void count_outside_send(NodeId from, NodeId to, std::size_t size);
   void drain_inbox(std::size_t lane);
   void deliver_on_lane(LaneInbox& inbox, Delivery d);
 

@@ -186,9 +186,11 @@ TEST_P(AggregationProperty, NonCoveringPopulationStaysExact) {
   constexpr std::size_t kSubs = 32;
   for (std::size_t i = 0; i < kSubs; ++i) {
     // Distinct equality symbols: no pair covers, so no free merges either.
-    ConjunctiveFilter f = FilterBuilder{"Stock"}
-                              .where("symbol", Op::Eq, Value{"S" + std::to_string(i)})
-                              .build();
+    ConjunctiveFilter f =
+        FilterBuilder{"Stock"}
+            .where("symbol", Op::Eq,
+                   Value{std::string{"S"}.append(std::to_string(i))})
+            .build();
     plain->add(f);
     agg.add(std::move(f));
   }
@@ -197,7 +199,8 @@ TEST_P(AggregationProperty, NonCoveringPopulationStaysExact) {
   EXPECT_EQ(agg.stats().entries_per_subscription(), 1.0);
   for (std::size_t i = 0; i < 50; ++i) {
     const EventImage image = image_of(
-        Stock{"S" + std::to_string(rng.below(kSubs + 4)), 1.0, 1});
+        Stock{std::string{"S"}.append(std::to_string(rng.below(kSubs + 4))),
+              1.0, 1});
     EXPECT_EQ(sorted_match(*plain, image), sorted_match(agg, image));
   }
   EXPECT_EQ(agg.check_invariants(), "");

@@ -156,7 +156,8 @@ TEST(TrieStructure, SharedPrefixesShareNodes) {
     trie.add(FilterBuilder{"Publication"}
                  .where("year", Op::Eq, Value{2002})
                  .where("conference", Op::Eq, Value{"ICDCS"})
-                 .where("author", Op::Eq, Value{"a" + std::to_string(i)})
+                 .where("author", Op::Eq,
+                        Value{std::string{"a"}.append(std::to_string(i))})
                  .build());
   }
   // root + year + conference + 20 author leaves = 23 nodes, not 20×3.

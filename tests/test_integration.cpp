@@ -171,7 +171,8 @@ TEST(Integration, SimilarSubscriptionsClusterUnderOneSubtree) {
             .where("year", Op::Eq, Value{2002})
             .where("conference", Op::Eq, Value{"ICDCS"})
             .where("author", Op::Eq, Value{"Eugster"})
-            .where("title", Op::Eq, Value{"t" + std::to_string(i)})
+            .where("title", Op::Eq,
+                   Value{std::string{"t"}.append(std::to_string(i))})
             .build(),
         {}));
     subs.push_back(&sub);
@@ -210,7 +211,8 @@ TEST(Integration, RandomPlacementScattersSimilarSubscriptions) {
             .where("year", Op::Eq, Value{2002})
             .where("conference", Op::Eq, Value{"ICDCS"})
             .where("author", Op::Eq, Value{"Eugster"})
-            .where("title", Op::Eq, Value{"t" + std::to_string(i)})
+            .where("title", Op::Eq,
+                   Value{std::string{"t"}.append(std::to_string(i))})
             .build(),
         {}));
     subs.push_back(&sub);

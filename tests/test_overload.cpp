@@ -7,6 +7,7 @@
 
 #include <cstdint>
 
+#include "cake/metrics/metrics.hpp"
 #include "cake/routing/overlay.hpp"
 #include "cake/workload/generators.hpp"
 
@@ -102,6 +103,52 @@ TEST(Overload, StallInboxBoundEvictsOldestAndAccountsForIt) {
   EXPECT_EQ(received + sub.stats().stall_inbox_dropped, 10u);
 }
 
+// A zero limit is an inbox that holds nothing: each frame that reaches the
+// stalled consumer is dropped on arrival and counted.
+TEST(Overload, ZeroStallInboxLimitHoldsNothingAndCountsEveryDrop) {
+  OverlayConfig config = overload_config();
+  config.subscriber.stall_inbox_limit = 0;
+  Fixture fx{config};
+  std::uint64_t received = 0;
+  auto& sub = fx.overlay.add_subscriber();
+  sub.subscribe(FilterBuilder{"Publication"}.build(),
+                [&received](const EventImage&) { ++received; });
+  fx.overlay.run();
+
+  sub.stall();
+  fx.publish_burst(10);
+  fx.overlay.run();
+  EXPECT_EQ(sub.parked(), 0u);
+  EXPECT_EQ(sub.stats().events_stalled, 10u);
+  EXPECT_EQ(sub.stats().stall_inbox_dropped, 10u);
+
+  sub.unstall();
+  fx.overlay.run();
+  EXPECT_EQ(received, 0u);
+}
+
+// The shed ledger's parked row covers stalled consumers' inboxes too.
+TEST(Overload, ShedLedgerCountsAStalledInboxAsParked) {
+  Fixture fx{overload_config()};
+  auto& sub = fx.overlay.add_subscriber();
+  sub.subscribe(FilterBuilder{"Publication"}.build(), {});
+  fx.overlay.run();
+
+  sub.stall();
+  fx.publish_burst(3);
+  fx.overlay.run();
+  metrics::ShedLedger ledger = metrics::shed_ledger(fx.overlay);
+  EXPECT_EQ(ledger.parked, 3u);
+  EXPECT_EQ(ledger.delivered, 0u);
+  EXPECT_EQ(ledger.total_shed(), 0u);
+
+  sub.unstall();
+  fx.overlay.run();
+  ledger = metrics::shed_ledger(fx.overlay);
+  EXPECT_EQ(ledger.parked, 0u);
+  EXPECT_EQ(ledger.delivered, 3u);
+}
+
 TEST(Overload, BrokerQuarantinesSlowChildAndDrainsPenOnRecovery) {
   OverlayConfig config = overload_config();
   config.link.credit_window = 4;  // tiny: a stalled child's queue builds fast
@@ -192,6 +239,42 @@ TEST(Overload, QuarantinePenBoundEvictsOldestAndChargesTheChild) {
   // accounted eviction charged to exactly this child.
   EXPECT_EQ(root.quarantine_dropped(sub.id()),
             root.stats().events_quarantine_dropped);
+  EXPECT_EQ(received + root.quarantine_dropped(sub.id()), 40u);
+}
+
+// A zero limit is a pen that holds nothing: each frame the quarantine
+// diverts is dropped on arrival and charged to the child, and only the
+// frames already on the link reach it.
+TEST(Overload, ZeroQuarantinePenLimitHoldsNothingAndChargesEveryFrame) {
+  OverlayConfig config = overload_config();
+  config.link.credit_window = 4;
+  config.broker.quarantine = true;
+  config.broker.child_queue = {.low = 2, .high = 4, .capacity = 8};
+  config.broker.quarantine_drain_interval = 10'000;
+  config.broker.quarantine_pen_limit = 0;
+  Fixture fx{config};
+
+  std::uint64_t received = 0;
+  auto& sub = fx.overlay.add_subscriber();
+  sub.subscribe(FilterBuilder{"Publication"}.build(),
+                [&received](const EventImage&) { ++received; });
+  fx.overlay.run();
+
+  sub.stall();
+  fx.publish_burst(40);
+  fx.overlay.run();
+  routing::Broker& root = fx.overlay.root();
+  ASSERT_TRUE(root.quarantined(sub.id()));
+  EXPECT_EQ(root.quarantine_pen_size(), 0u);
+  EXPECT_EQ(root.stats().events_quarantine_dropped,
+            root.stats().events_quarantined);
+  // The link keeps only its in-flight window; every other frame of the
+  // burst went to the pen and was dropped there.
+  EXPECT_EQ(root.quarantine_dropped(sub.id()), 37u);
+
+  sub.unstall();
+  fx.overlay.scheduler().run_until(fx.overlay.scheduler().now() + 20'000'000);
+  EXPECT_EQ(root.quarantine_dropped(sub.id()), 37u);
   EXPECT_EQ(received + root.quarantine_dropped(sub.id()), 40u);
 }
 

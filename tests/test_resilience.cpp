@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include "cake/core/event_system.hpp"
+#include "cake/metrics/metrics.hpp"
 #include "cake/workload/generators.hpp"
 
 namespace cake {
@@ -233,8 +234,8 @@ TEST(Resilience, DuplicateAcceptsNeverDoubleDeliver) {
   fx.overlay.run();
 
   for (int i = 0; i < 20; ++i)
-    fx.publisher->publish(pub_event(2002, "ICDCS", "Eugster",
-                                    "t" + std::to_string(i)));
+    fx.publisher->publish(pub_event(
+        2002, "ICDCS", "Eugster", std::string{"t"}.append(std::to_string(i))));
   fx.overlay.run();
   EXPECT_EQ(count, 20);  // exactly once each, despite the racy joins
 }
@@ -356,6 +357,61 @@ TEST(Durable, BufferOverflowDropsOldest) {
   sub.resume();
   fx.overlay.run();
   EXPECT_EQ(titles, (std::vector<std::string>{"c", "d"}));  // oldest dropped
+}
+
+// The shed ledger counts what a detached durable subscriber's buffer holds
+// as parked, and what it evicted as shed.
+TEST(Durable, ShedLedgerCountsBufferedFramesAsParked) {
+  OverlayConfig config = fast_ttl_config();
+  config.broker.durable_buffer_limit = 2;
+  Fx fx{config};
+  auto& sub = fx.overlay.add_subscriber();
+  sub.subscribe(FilterBuilder{"Publication"}.build(), {}, {},
+                /*durable=*/true);
+  fx.overlay.run();
+  sub.detach();
+  fx.overlay.run();
+
+  for (const char* title : {"a", "b", "c", "d"})
+    fx.publisher->publish(pub_event(2002, "ICDCS", "Eugster", title));
+  fx.overlay.run();
+  const metrics::ShedLedger ledger = metrics::shed_ledger(fx.overlay);
+  EXPECT_EQ(ledger.parked, 2u);
+  EXPECT_EQ(ledger.buffer_overflows, 2u);
+}
+
+// A zero limit is a buffer that holds nothing: each event for the detached
+// subscriber is dropped on arrival and counted, and resume replays none.
+TEST(Durable, ZeroBufferLimitHoldsNothingAndCountsEveryDrop) {
+  OverlayConfig config = fast_ttl_config();
+  config.broker.durable_buffer_limit = 0;
+  Fx fx{config};
+  auto& sub = fx.overlay.add_subscriber();
+  int count = 0;
+  sub.subscribe(FilterBuilder{"Publication"}.build(),
+                [&count](const EventImage&) { ++count; }, {},
+                /*durable=*/true);
+  fx.overlay.run();
+  sub.detach();
+  fx.overlay.run();
+
+  for (const char* title : {"a", "b", "c", "d"})
+    fx.publisher->publish(pub_event(2002, "ICDCS", "Eugster", title));
+  fx.overlay.run();
+  std::uint64_t buffered = 0, overflows = 0;
+  std::size_t parked = 0;
+  for (const auto& broker : fx.overlay.brokers()) {
+    buffered += broker->stats().events_buffered;
+    overflows += broker->stats().buffer_overflows;
+    parked += broker->parked();
+  }
+  EXPECT_EQ(buffered, 4u);
+  EXPECT_EQ(overflows, 4u);
+  EXPECT_EQ(parked, 0u);
+
+  sub.resume();
+  fx.overlay.run();
+  EXPECT_EQ(count, 0);
 }
 
 // Without a journal the broker buffers a detached durable subscriber's

@@ -82,9 +82,11 @@ TEST(RankByGenerality, LowCardinalityFirst) {
   for (int i = 0; i < 30; ++i) {
     sample.push_back(EventImage{
         "T",
-        {{"year", Value{2000 + i % 3}},        // 3 distinct values
-         {"author", Value{"a" + std::to_string(i % 10)}},  // 10 distinct
-         {"title", Value{"t" + std::to_string(i)}}}});     // 30 distinct
+        {{"year", Value{2000 + i % 3}},  // 3 distinct values
+         {"author",                      // 10 distinct
+          Value{std::string{"a"}.append(std::to_string(i % 10))}},
+         {"title",                       // 30 distinct
+          Value{std::string{"t"}.append(std::to_string(i))}}}});
   }
   const auto ranked =
       rank_by_generality(sample, {"title", "year", "author"});

@@ -7,6 +7,7 @@
 #include <future>
 #include <set>
 #include <thread>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -179,6 +180,65 @@ TEST(ThreadedTransportTest, BatchBoundaryIsExactlyN) {
   const auto stats = transport.stats();
   EXPECT_EQ(stats.max_batch, kBatch);
   EXPECT_GE(stats.batches, 2u);  // the blocker's singleton + the full batch
+}
+
+// Outside threads that find a lane's queue full wait for room (they are
+// not its consumer, so they cannot make any): with the only worker parked
+// on a gate, exactly the ring's 64 slots fill and every poster then spins.
+// Released, the lane runs every task exactly once.
+TEST(ThreadedTransportTest, ForeignPostersBlockedOnAFullLaneLoseNothing) {
+  constexpr int kPosters = 4;
+  constexpr int kPerPoster = 1'000;
+  constexpr int kCapacity = 64;
+  ThreadedTransport transport{
+      ThreadedOptions{.workers = 1, .queue_capacity = kCapacity}};
+  std::promise<void> release;
+  std::shared_future<void> gate{release.get_future()};
+  std::atomic<bool> blocked{false};
+  transport.post([&blocked, gate] {
+    blocked.store(true);
+    gate.wait();
+  });
+  while (!blocked.load()) std::this_thread::yield();
+
+  std::vector<std::atomic<int>> runs(kPosters * kPerPoster);
+  std::atomic<int> posted{0};
+  std::vector<std::thread> posters;
+  for (int p = 0; p < kPosters; ++p)
+    posters.emplace_back([&transport, &runs, &posted, p] {
+      for (int i = 0; i < kPerPoster; ++i) {
+        std::atomic<int>* run = &runs[p * kPerPoster + i];
+        transport.post([run] { run->fetch_add(1); });
+        posted.fetch_add(1);
+      }
+    });
+  while (posted.load() < kCapacity) std::this_thread::yield();
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  EXPECT_EQ(posted.load(), kCapacity) << "a post got past a full lane";
+
+  release.set_value();
+  for (auto& t : posters) t.join();
+  transport.drain();
+  for (std::size_t i = 0; i < runs.size(); ++i)
+    ASSERT_EQ(runs[i].load(), 1) << "task " << i;
+}
+
+// A worker posting to its own full lane is that queue's consumer, so it
+// makes room by running the head task inline (ThreadedTransport::enqueue).
+// 500 posts through a 64-slot ring force that path hundreds of times; the
+// tasks still run exactly once each, in submission order.
+TEST(ThreadedTransportTest, WorkerPostingPastItsOwnFullLaneKeepsOrder) {
+  constexpr int kTasks = 500;
+  ThreadedTransport transport{
+      ThreadedOptions{.workers = 1, .queue_capacity = 64}};
+  std::vector<int> order;  // touched only on the lane, read after drain
+  transport.post([&transport, &order] {
+    for (int i = 0; i < kTasks; ++i)
+      transport.post([&order, i] { order.push_back(i); });
+  });
+  transport.drain();
+  ASSERT_EQ(order.size(), static_cast<std::size_t>(kTasks));
+  for (int i = 0; i < kTasks; ++i) ASSERT_EQ(order[i], i);
 }
 
 TEST(ThreadedTransportTest, BatchNeverExceedsConfiguredLimit) {

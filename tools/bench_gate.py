@@ -1,11 +1,9 @@
 #!/usr/bin/env python3
 """Perf-trend gate: compare benchmark JSON artifacts against a baseline.
 
-Reads the three benchmark artifacts the CI smoke lane produces —
+Reads the benchmark artifacts the CI smoke lane produces —
 
-  BENCH_hotpath.json    (A14: per-arm events/sec + allocs/event + deliveries,
-                         plus the threaded pipeline arm)
-  BENCH_threaded.json   (A16: pipeline events/sec per worker count)
+  BENCH_hotpath.json    (A14: per-arm events/sec + allocs/event + deliveries)
   BENCH_overlay.json    (A19: broker overlay end-to-end on ThreadedTransport
                          — events/sec, delivered, allocs/event per worker
                          count; the delivery multiset is pinned against a
@@ -54,16 +52,6 @@ RULES = {
         dict(key="arms", match=("name",), metric="allocs_per_event",
              direction="higher", rel=0.02, abs_slack=0.05),
         dict(key="arms", match=("name",), metric="deliveries",
-             direction="exact", rel=0.0, abs_slack=0.0),
-        dict(key="threaded", match=(), metric="events_per_sec",
-             direction="lower", rel=0.10, abs_slack=0.0),
-        dict(key="threaded", match=(), metric="allocs_per_event",
-             direction="higher", rel=0.02, abs_slack=0.05),
-    ],
-    "BENCH_threaded.json": [
-        dict(key="arms", match=("workers",), metric="events_per_sec",
-             direction="lower", rel=0.10, abs_slack=0.0),
-        dict(key="arms", match=("workers",), metric="delivered",
              direction="exact", rel=0.0, abs_slack=0.0),
     ],
     "BENCH_overlay.json": [
@@ -179,7 +167,7 @@ def compare_file(name, baseline, current):
         node_base = baseline.get(rule["key"])
         node_cur = current.get(rule["key"])
         if node_base is None or node_cur is None:
-            # Schema drift (e.g. baseline predates the threaded block):
+            # Schema drift (a section one side of the comparison lacks):
             # nothing to compare yet, note it and move on.
             yield True, "%s: %s absent in %s, skipped" % (
                 name, rule["key"],
@@ -246,15 +234,11 @@ def selftest():
             {"name": "passthrough", "events_per_sec": 100000.0,
              "allocs_per_event": 7.0, "deliveries": 2016},
         ],
-        "threaded": {"events_per_sec": 200000.0, "allocs_per_event": 1.0},
     }
 
     def clone(**overrides):
         cur = json.loads(json.dumps(base))
-        cur["arms"][0].update(
-            {k: v for k, v in overrides.items() if not k.startswith("t_")})
-        cur["threaded"].update(
-            {k[2:]: v for k, v in overrides.items() if k.startswith("t_")})
+        cur["arms"][0].update(overrides)
         return cur
 
     def verdicts(cur):
@@ -272,18 +256,12 @@ def selftest():
         ("alloc regression fails",
          not all(verdicts(clone(allocs_per_event=8.0)))),
         ("delivery change fails", not all(verdicts(clone(deliveries=2017)))),
-        ("threaded slowdown fails",
-         not all(verdicts(clone(t_events_per_sec=150000.0)))),
-        ("threaded alloc regression fails",
-         not all(verdicts(clone(t_allocs_per_event=1.5)))),
         ("missing arm fails",
          not all(ok for ok, _ in compare_file(
-             "BENCH_hotpath.json", base,
-             {"arms": [], "threaded": base["threaded"]}))),
+             "BENCH_hotpath.json", base, {"arms": []}))),
         ("absent section skips",
          all(ok for ok, _ in compare_file(
-             "BENCH_hotpath.json", {"arms": base["arms"]},
-             {"arms": base["arms"]}))),
+             "BENCH_hotpath.json", {}, base))),
     ]
 
     scaling = {
