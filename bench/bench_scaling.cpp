@@ -38,12 +38,11 @@ namespace {
 using namespace cake;
 
 std::size_t filter_bytes(const filter::ConjunctiveFilter& f) {
+  // Names are interned symbols, shared process-wide: no per-filter bytes.
   std::size_t bytes = sizeof(filter::ConjunctiveFilter) +
-                      f.type().name.capacity() +
                       f.constraints().capacity() *
                           sizeof(filter::AttributeConstraint);
   for (const auto& c : f.constraints()) {
-    bytes += c.name.capacity();
     if (c.operand.kind() == value::Kind::String)
       bytes += c.operand.as_string().capacity();
   }

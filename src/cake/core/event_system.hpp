@@ -46,7 +46,7 @@ public:
                           bool durable = false) {
     if (f.type().accepts_all()) {
       f = filter::ConjunctiveFilter{
-          filter::TypeConstraint{registry_.get<T>().name(), true},
+          filter::TypeConstraint{registry_.get<T>().symbol(), true},
           f.constraints()};
     }
     routing::SubscriberNode::Handler image_handler;
@@ -80,7 +80,7 @@ public:
     for (auto& f : disjuncts) {
       if (f.type().accepts_all()) {
         f = filter::ConjunctiveFilter{
-            filter::TypeConstraint{registry_.get<T>().name(), true},
+            filter::TypeConstraint{registry_.get<T>().symbol(), true},
             f.constraints()};
       }
     }

@@ -131,7 +131,7 @@ std::vector<filter::ConjunctiveFilter> draw_subscriptions(
     // the occasional fully-exact filter keeps the narrow path covered.
     const std::size_t wildcards = rng.below(4) == 0 ? 0 : 1 + rng.below(2);
     filter::ConjunctiveFilter exact = gen.next_subscription(wildcards);
-    if (const reflect::TypeInfo* type = registry.find(exact.type().name))
+    if (const reflect::TypeInfo* type = registry.find(exact.type().name.id))
       exact = exact.standard_form(*type);
     filters.push_back(std::move(exact));
   }

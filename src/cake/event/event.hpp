@@ -75,8 +75,6 @@ struct ImageAttribute {
   value::Value value;
 
   ImageAttribute() = default;
-  ImageAttribute(std::string_view name, value::Value value)
-      : ImageAttribute(symbol::intern(name), std::move(value)) {}
   ImageAttribute(symbol::Symbol symbol, value::Value value) noexcept
       : id(symbol.id), name(symbol.text), value(std::move(value)) {}
 
@@ -107,6 +105,14 @@ public:
 
   /// Value of the named attribute, or null if absent.
   [[nodiscard]] const value::Value* find(std::string_view name) const noexcept;
+  /// Same, by interned name: an integer compare per attribute (the exact
+  /// filter's lookup, DESIGN.md §9).
+  [[nodiscard]] const value::Value* find(symbol::Id name) const noexcept {
+    for (const ImageAttribute& attr : attributes_) {
+      if (attr.id == name) return &attr.value;
+    }
+    return nullptr;
+  }
   [[nodiscard]] bool has(std::string_view name) const noexcept {
     return find(name) != nullptr;
   }

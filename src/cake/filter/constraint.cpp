@@ -27,32 +27,26 @@ std::string common_prefix(const std::string& a, const std::string& b) {
 
 }  // namespace
 
-bool AttributeConstraint::matches(const event::EventImage& image) const noexcept {
-  const Value* attr = image.find(name);
-  if (attr == nullptr) return op == Op::Any;
-  return applies(op, *attr, operand);
-}
-
 void AttributeConstraint::encode(wire::Writer& w) const {
-  w.string(name);
+  w.string(name.text);
   w.u8(static_cast<std::uint8_t>(op));
   w.value(operand);
 }
 
 AttributeConstraint AttributeConstraint::decode(wire::Reader& r) {
   AttributeConstraint c;
-  c.name = r.string();
+  c.name = symbol::intern(r.string_view());
   c.op = static_cast<Op>(r.u8());
   c.operand = r.value();
   return c;
 }
 
 std::string AttributeConstraint::to_string() const {
-  if (op == Op::Exists) return '(' + name + ", ∃)";
-  if (op == Op::Any) return '(' + name + ", ALL, =)";
-  if (op == Op::Regex)
-    return '(' + name + ", " + operand.to_string() + ", ~)";
-  return '(' + name + ", " + operand.to_string() + ", " +
+  const std::string head = '(' + std::string{name.text};
+  if (op == Op::Exists) return head + ", ∃)";
+  if (op == Op::Any) return head + ", ALL, =)";
+  if (op == Op::Regex) return head + ", " + operand.to_string() + ", ~)";
+  return head + ", " + operand.to_string() + ", " +
          std::string{filter::to_string(op)} + ')';
 }
 

@@ -17,17 +17,24 @@
 
 namespace cake::filter {
 
-/// One predicate on one named attribute.
+/// One predicate on one named attribute. The name is interned where it
+/// enters (a literal, `FilterBuilder::where`, `decode`); copies carry the
+/// symbol, so matching and covering compare ids, never text.
 struct AttributeConstraint {
-  std::string name;
+  symbol::Symbol name;
   Op op = Op::Any;
   value::Value operand;  // ignored for Exists/Any
 
   /// Evaluates this constraint against an event image. Absent attributes
   /// satisfy only `Any` (weakened images drop exactly the attributes that
   /// weakened filters no longer constrain, so this cannot cause a false
-  /// negative under a consistent stage schema).
-  [[nodiscard]] bool matches(const event::EventImage& image) const noexcept;
+  /// negative under a consistent stage schema). Inline: the subscriber's
+  /// exact stage runs it once per constraint per subscription per arrival.
+  [[nodiscard]] bool matches(const event::EventImage& image) const noexcept {
+    if (op == Op::Any) return true;  // present or not
+    const value::Value* attr = image.find(name.id);
+    return attr != nullptr && applies(op, *attr, operand);
+  }
 
   [[nodiscard]] bool is_wildcard() const noexcept { return op == Op::Any; }
 

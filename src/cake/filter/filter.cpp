@@ -4,13 +4,12 @@
 
 namespace cake::filter {
 
-bool TypeConstraint::matches(std::string_view type_name,
+bool TypeConstraint::matches(symbol::Id type,
                              const reflect::TypeRegistry& registry) const noexcept {
-  if (accepts_all()) return true;
-  if (type_name == name) return true;
+  if (type == name.id || accepts_all()) return true;
   if (!include_subtypes) return false;
-  const reflect::TypeInfo* event_type = registry.find(type_name);
-  const reflect::TypeInfo* base = registry.find(name);
+  const reflect::TypeInfo* event_type = registry.find(type);
+  const reflect::TypeInfo* base = registry.find(name.id);
   return event_type != nullptr && base != nullptr && event_type->conforms_to(*base);
 }
 
@@ -22,15 +21,15 @@ bool TypeConstraint::covers(const TypeConstraint& weaker,
   if (weaker.name == stronger.name)
     return weaker.include_subtypes || !stronger.include_subtypes;
   if (!weaker.include_subtypes) return false;
-  const reflect::TypeInfo* strong_type = registry.find(stronger.name);
-  const reflect::TypeInfo* weak_type = registry.find(weaker.name);
+  const reflect::TypeInfo* strong_type = registry.find(stronger.name.id);
+  const reflect::TypeInfo* weak_type = registry.find(weaker.name.id);
   return strong_type != nullptr && weak_type != nullptr &&
          strong_type->conforms_to(*weak_type);
 }
 
 bool ConjunctiveFilter::matches(const event::EventImage& image,
                                 const reflect::TypeRegistry& registry) const noexcept {
-  if (!type_.matches(image.type_name(), registry)) return false;
+  if (!type_.matches(image.type_id(), registry)) return false;
   for (const auto& constraint : constraints_) {
     if (!constraint.matches(image)) return false;
   }
@@ -47,7 +46,7 @@ bool ConjunctiveFilter::has_wildcard() const noexcept {
 std::vector<std::string> ConjunctiveFilter::wildcard_attributes() const {
   std::vector<std::string> names;
   for (const auto& c : constraints_) {
-    if (c.is_wildcard()) names.push_back(c.name);
+    if (c.is_wildcard()) names.emplace_back(c.name.text);
   }
   return names;
 }
@@ -60,13 +59,13 @@ ConjunctiveFilter ConjunctiveFilter::standard_form(
   for (const auto* attr : type.attributes()) {
     bool found = false;
     for (std::size_t i = 0; i < constraints_.size(); ++i) {
-      if (constraints_[i].name == attr->name) {
+      if (constraints_[i].name == attr->symbol) {
         ordered.push_back(constraints_[i]);
         used[i] = true;
         found = true;
       }
     }
-    if (!found) ordered.push_back({attr->name, Op::Any, {}});
+    if (!found) ordered.push_back({attr->symbol, Op::Any, {}});
   }
   for (std::size_t i = 0; i < constraints_.size(); ++i) {
     if (!used[i]) ordered.push_back(constraints_[i]);  // unknown attributes
@@ -75,7 +74,7 @@ ConjunctiveFilter ConjunctiveFilter::standard_form(
 }
 
 void ConjunctiveFilter::encode(wire::Writer& w) const {
-  w.string(type_.name);
+  w.string(type_.name.text);
   w.u8(type_.include_subtypes ? 1 : 0);
   w.varint(constraints_.size());
   for (const auto& c : constraints_) c.encode(w);
@@ -83,7 +82,7 @@ void ConjunctiveFilter::encode(wire::Writer& w) const {
 
 ConjunctiveFilter ConjunctiveFilter::decode(wire::Reader& r) {
   TypeConstraint type;
-  type.name = r.string();
+  type.name = symbol::intern(r.string_view());
   type.include_subtypes = r.u8() != 0;
   const std::uint64_t n = r.count(3);  // name length + op + value tag
   std::vector<AttributeConstraint> constraints;
@@ -98,7 +97,7 @@ std::string ConjunctiveFilter::to_string() const {
   if (type_.accepts_all()) {
     os << "(class, ALL, =)";
   } else {
-    os << "(class, \"" << type_.name << "\", " << (type_.include_subtypes ? "<:" : "=")
+    os << "(class, \"" << type_.name.text << "\", " << (type_.include_subtypes ? "<:" : "=")
        << ')';
   }
   for (const auto& c : constraints_) os << ' ' << c.to_string();
@@ -109,10 +108,12 @@ std::size_t ConjunctiveFilter::hash() const noexcept {
   auto mix = [](std::size_t seed, std::size_t h) {
     return seed ^ (h + 0x9e3779b97f4a7c15ULL + (seed << 6) + (seed >> 2));
   };
-  std::size_t h = std::hash<std::string>{}(type_.name);
+  // Hashes the text, not the id: the value must not depend on the order
+  // names were first interned in.
+  std::size_t h = std::hash<std::string_view>{}(type_.name.text);
   h = mix(h, type_.include_subtypes ? 1 : 0);
   for (const auto& c : constraints_) {
-    h = mix(h, std::hash<std::string>{}(c.name));
+    h = mix(h, std::hash<std::string_view>{}(c.name.text));
     h = mix(h, static_cast<std::size_t>(c.op));
     h = mix(h, c.operand.hash());
   }
@@ -189,8 +190,8 @@ bool types_compatible(const TypeConstraint& a, const TypeConstraint& b,
   if (a.name == b.name) return true;
   // Single inheritance: two different types share instances only along one
   // conformance chain, and only when the ancestor side includes subtypes.
-  const reflect::TypeInfo* ta = registry.find(a.name);
-  const reflect::TypeInfo* tb = registry.find(b.name);
+  const reflect::TypeInfo* ta = registry.find(a.name.id);
+  const reflect::TypeInfo* tb = registry.find(b.name.id);
   if (ta == nullptr || tb == nullptr) return false;  // names differ, unknown
   if (a.include_subtypes && tb->conforms_to(*ta)) return true;
   if (b.include_subtypes && ta->conforms_to(*tb)) return true;

@@ -23,15 +23,16 @@ namespace cake::filter {
 ///
 /// An empty name accepts every type. With `include_subtypes`, instances of
 /// any type conforming to `name` match (type-based subscription); without,
-/// only exact instances do.
+/// only exact instances do. The name is interned, like the constraints'.
 struct TypeConstraint {
-  std::string name;
+  symbol::Symbol name;
   bool include_subtypes = false;
 
-  [[nodiscard]] bool accepts_all() const noexcept { return name.empty(); }
+  [[nodiscard]] bool accepts_all() const noexcept { return name.id == 0; }
 
-  /// Does an event of type `type_name` pass this constraint?
-  [[nodiscard]] bool matches(std::string_view type_name,
+  /// Does an event whose interned type name is `type` pass this constraint?
+  /// The registry is consulted, by id, only for `include_subtypes`.
+  [[nodiscard]] bool matches(symbol::Id type,
                              const reflect::TypeRegistry& registry) const noexcept;
 
   /// Sound covering test between type constraints.
@@ -121,11 +122,11 @@ private:
 class FilterBuilder {
 public:
   FilterBuilder() = default;
-  explicit FilterBuilder(std::string type_name, bool include_subtypes = false)
-      : type_{std::move(type_name), include_subtypes} {}
+  explicit FilterBuilder(symbol::Symbol type_name, bool include_subtypes = false)
+      : type_{type_name, include_subtypes} {}
 
-  FilterBuilder& where(std::string attribute, Op op, value::Value operand = {}) {
-    constraints_.push_back({std::move(attribute), op, std::move(operand)});
+  FilterBuilder& where(symbol::Symbol attribute, Op op, value::Value operand = {}) {
+    constraints_.push_back({attribute, op, std::move(operand)});
     return *this;
   }
 

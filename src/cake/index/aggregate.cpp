@@ -17,12 +17,12 @@ AggregatedIndex::AggregatedIndex(AggregateConfig config,
 }
 
 std::string AggregatedIndex::signature(const filter::ConjunctiveFilter& f) {
-  std::string sig = f.type().name;
+  std::string sig{f.type().name.text};
   sig += f.type().include_subtypes ? "\x01s" : "\x01e";
   std::vector<std::string_view> attrs;
   attrs.reserve(f.constraints().size());
   for (const auto& c : f.constraints()) {
-    if (!c.is_wildcard()) attrs.push_back(c.name);
+    if (!c.is_wildcard()) attrs.push_back(c.name.text);
   }
   std::sort(attrs.begin(), attrs.end());
   for (const std::string_view attr : attrs) {

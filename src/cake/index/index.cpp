@@ -67,15 +67,14 @@ FilterId CountingIndex::add(filter::ConjunctiveFilter filter) {
   const auto& type = filter.type();
   if (!type.accepts_all()) {
     ++required;
-    const symbol::Id type_id = symbol::intern(type.name).id;
-    auto& bucket = type.include_subtypes ? subtree_type_[type_id]
-                                         : exact_type_[type_id];
+    auto& bucket = type.include_subtypes ? subtree_type_[type.name.id]
+                                         : exact_type_[type.name.id];
     bucket.push_back(id);
   }
   for (const auto& constraint : filter.constraints()) {
     if (constraint.is_wildcard()) continue;  // trivially satisfied
     ++required;
-    AttrIndex& attr_index = by_attribute_[symbol::intern(constraint.name).id];
+    AttrIndex& attr_index = by_attribute_[constraint.name.id];
     if (constraint.op == filter::Op::Eq)
       attr_index.equals[constraint.operand].push_back(id);
     else
@@ -163,7 +162,7 @@ FilterId TrieIndex::add(filter::ConjunctiveFilter filter) {
   std::size_t node = 0;  // root
   for (const auto& constraint : filter.constraints()) {
     if (constraint.op != filter::Op::Eq) continue;  // residual-checked later
-    EdgeKey key{symbol::intern(constraint.name).id, constraint.operand};
+    EdgeKey key{constraint.name.id, constraint.operand};
     const auto it = nodes_[node].edges.find(key);
     if (it != nodes_[node].edges.end()) {
       node = it->second;

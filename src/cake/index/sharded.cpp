@@ -53,7 +53,7 @@ FilterId ShardedIndex::add(filter::ConjunctiveFilter filter) {
       placement.inner.push_back(inner_id);
     }
   } else {
-    placement.shard = shard_of(type.name);
+    placement.shard = shard_of(type.name.text);
     Shard& shard = shards_[placement.shard];
     std::unique_lock shard_lock{shard.mutex};
     const FilterId inner_id = shard.inner->add(std::move(filter));

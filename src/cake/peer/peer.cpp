@@ -249,7 +249,7 @@ void PeerSubscriber::start() {
 }
 
 void PeerSubscriber::subscribe(filter::ConjunctiveFilter exact, Handler handler) {
-  if (const reflect::TypeInfo* type = registry_.find(exact.type().name))
+  if (const reflect::TypeInfo* type = registry_.find(exact.type().name.id))
     exact = exact.standard_form(*type);
   subs_.emplace_back(exact, std::move(handler));
   network_.send(id_, home_, encode(PeerPacket{PeerSub{std::move(exact)}}));
@@ -257,7 +257,7 @@ void PeerSubscriber::subscribe(filter::ConjunctiveFilter exact, Handler handler)
 
 void PeerSubscriber::unsubscribe(const filter::ConjunctiveFilter& exact) {
   filter::ConjunctiveFilter form = exact;
-  if (const reflect::TypeInfo* type = registry_.find(exact.type().name))
+  if (const reflect::TypeInfo* type = registry_.find(exact.type().name.id))
     form = exact.standard_form(*type);
   std::erase_if(subs_, [&](const auto& sub) { return sub.first == form; });
   network_.send(id_, home_, encode(PeerPacket{PeerUnsub{std::move(form)}}));

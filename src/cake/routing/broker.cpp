@@ -183,7 +183,7 @@ std::vector<filter::ConjunctiveFilter> Broker::active_upward() const {
 
 filter::ConjunctiveFilter Broker::weaken_for(const filter::ConjunctiveFilter& f,
                                              std::size_t stage) const {
-  const weaken::StageSchema* schema = schema_for(f.type().name);
+  const weaken::StageSchema* schema = schema_for(f.type().name.text);
   if (schema == nullptr) return f;  // no advertisement yet: sound identity
   return weaken::weaken_filter(f, *schema, stage);
 }
@@ -262,7 +262,7 @@ void Broker::handle_wildcard(const Subscribe& msg) {
   // §4.4: find the most general wildcard attribute (first in standard-form
   // order), then the topmost stage j still using it; attach at stage j+1.
   const std::vector<std::string> wildcards = msg.filter.wildcard_attributes();
-  const weaken::StageSchema* schema = schema_for(msg.filter.type().name);
+  const weaken::StageSchema* schema = schema_for(msg.filter.type().name.text);
   std::size_t topmost = 0;
   if (schema != nullptr && !wildcards.empty()) {
     const std::string& most_general = wildcards.front();

@@ -1,6 +1,7 @@
 #include "cake/routing/endpoints.hpp"
 
 #include <algorithm>
+#include <utility>
 
 #include "cake/event/event.hpp"
 #include "cake/health/health.hpp"
@@ -63,7 +64,7 @@ void SubscriberNode::on_broker_down(sim::NodeId peer) {
   // its old session triggers a clean stream resync.
   link_.forget(peer);
   dead_hosts_.insert(peer);
-  for (auto& [token, sub] : subs_) {
+  for (const Sub& sub : subs_) {
     if (!sub.parent.has_value() || *sub.parent != peer) continue;
     // Re-enter through the covering search at the root, like any rejoin —
     // but keep the old lease on the books (make-before-break). Declared
@@ -72,8 +73,20 @@ void SubscriberNode::on_broker_down(sim::NodeId peer) {
     // carry events published in the gap. If the host really is gone the
     // renewals fall on deaf ears and the lease decays with its broker.
     ++stats_.rejoins;
-    send(root_, Subscribe{sub.exact, id_, token, sub.durable});
+    send(root_, Subscribe{sub.exact, id_, sub.token, sub.durable});
   }
+}
+
+const SubscriberNode::Sub* SubscriberNode::find_sub(
+    std::uint64_t token) const noexcept {
+  const auto it = std::lower_bound(
+      subs_.begin(), subs_.end(), token,
+      [](const Sub& sub, std::uint64_t t) { return sub.token < t; });
+  return it != subs_.end() && it->token == token ? &*it : nullptr;
+}
+
+SubscriberNode::Sub* SubscriberNode::find_sub(std::uint64_t token) noexcept {
+  return const_cast<Sub*>(std::as_const(*this).find_sub(token));
 }
 
 std::uint64_t SubscriberNode::subscribe(filter::ConjunctiveFilter exact,
@@ -82,12 +95,12 @@ std::uint64_t SubscriberNode::subscribe(filter::ConjunctiveFilter exact,
                                         std::uint64_t replay_from) {
   // §4.4: convert to standard form so wildcard attributes are explicit and
   // constraints follow the most-general-first attribute order.
-  if (const reflect::TypeInfo* type = registry_.find(exact.type().name))
+  if (const reflect::TypeInfo* type = registry_.find(exact.type().name.id))
     exact = exact.standard_form(*type);
 
   const std::uint64_t token = next_token_++;
-  subs_.emplace(token, Sub{exact, std::move(handler), std::move(local),
-                           durable, /*group=*/0, std::nullopt, {}, replay_from});
+  subs_.push_back(Sub{token, exact, std::move(handler), std::move(local),
+                      durable, /*group=*/0, std::nullopt, {}, replay_from});
   send(root_, Subscribe{std::move(exact), id_, token, durable, replay_from});
   return token;
 }
@@ -99,11 +112,11 @@ std::vector<std::uint64_t> SubscriberNode::subscribe_any(
   std::vector<std::uint64_t> tokens;
   tokens.reserve(disjuncts.size());
   for (auto& disjunct : disjuncts) {
-    if (const reflect::TypeInfo* type = registry_.find(disjunct.type().name))
+    if (const reflect::TypeInfo* type = registry_.find(disjunct.type().name.id))
       disjunct = disjunct.standard_form(*type);
     const std::uint64_t token = next_token_++;
-    subs_.emplace(token, Sub{disjunct, handler, local, durable, group,
-                             std::nullopt, {}});
+    subs_.push_back(
+        Sub{token, disjunct, handler, local, durable, group, std::nullopt, {}});
     group_seen_.try_emplace(group, config_.dedup_capacity);
     send(root_, Subscribe{std::move(disjunct), id_, token, durable});
     tokens.push_back(token);
@@ -113,7 +126,7 @@ std::vector<std::uint64_t> SubscriberNode::subscribe_any(
 
 std::vector<sim::NodeId> SubscriberNode::hosting_nodes() const {
   std::vector<sim::NodeId> nodes;
-  for (const auto& [token, sub] : subs_) {
+  for (const Sub& sub : subs_) {
     if (sub.parent.has_value() &&
         std::find(nodes.begin(), nodes.end(), *sub.parent) == nodes.end())
       nodes.push_back(*sub.parent);
@@ -164,22 +177,21 @@ void SubscriberNode::unstall() {
 }
 
 void SubscriberNode::unsubscribe(std::uint64_t token) {
-  const auto it = subs_.find(token);
-  if (it == subs_.end()) return;
-  const Sub gone = std::move(it->second);
-  subs_.erase(it);
+  Sub* const sub = find_sub(token);
+  if (sub == nullptr) return;
+  const Sub gone = std::move(*sub);
+  subs_.erase(subs_.begin() + (sub - subs_.data()));
   // A composite's dedup memory goes with its last member.
   if (gone.group != 0 &&
-      std::none_of(subs_.begin(), subs_.end(), [&](const auto& s) {
-        return s.second.group == gone.group;
-      }))
+      std::none_of(subs_.begin(), subs_.end(),
+                   [&](const Sub& s) { return s.group == gone.group; }))
     group_seen_.erase(gone.group);
   // The hosting broker keeps one lease per (child, stored form), shared by
   // every subscription of ours it stored under that form: withdraw it only
   // with the last of them, or a sibling silently loses its route.
-  const bool shared = std::any_of(subs_.begin(), subs_.end(), [&](const auto& s) {
-    return s.second.parent == gone.parent &&
-           s.second.stored_at_parent == gone.stored_at_parent;
+  const bool shared = std::any_of(subs_.begin(), subs_.end(), [&](const Sub& s) {
+    return s.parent == gone.parent &&
+           s.stored_at_parent == gone.stored_at_parent;
   });
   if (gone.parent.has_value() && !shared)
     send(*gone.parent, Unsub{gone.stored_at_parent, id_});
@@ -193,25 +205,26 @@ std::size_t SubscriberNode::composite_seen() const noexcept {
 }
 
 std::optional<sim::NodeId> SubscriberNode::accepted_at(std::uint64_t token) const {
-  const auto it = subs_.find(token);
-  if (it == subs_.end()) return std::nullopt;
-  return it->second.parent;
+  const Sub* sub = find_sub(token);
+  if (sub == nullptr) return std::nullopt;
+  return sub->parent;
 }
 
 std::vector<SubscriberNode::SubscriptionView>
 SubscriberNode::subscription_views() const {
   std::vector<SubscriptionView> views;
   views.reserve(subs_.size());
-  for (const auto& [token, sub] : subs_)
-    views.push_back({token, sub.parent, sub.stored_at_parent, sub.exact});
+  for (const Sub& sub : subs_)
+    views.push_back({sub.token, sub.parent, sub.stored_at_parent, sub.exact});
   return views;
 }
 
 void SubscriberNode::on_packet(sim::NodeId from,
                                const sim::Network::Payload& payload) {
   // Any arrival is proof of life: a host we declared dead is revived and
-  // becomes watchable again the next time sync_watches runs.
-  dead_hosts_.erase(from);
+  // becomes watchable again the next time sync_watches runs. The set is
+  // almost always empty, and then the probe is skipped.
+  if (!dead_hosts_.empty()) dead_hosts_.erase(from);
   if (packet_class(payload) == kEventPacketClass) {
     if (stalled_) {
       // Stalled consumer: the protocol stack is alive but the application
@@ -244,19 +257,19 @@ void SubscriberNode::on_packet(sim::NodeId from,
   }
 
   if (auto* join = std::get_if<JoinAt>(&packet)) {
-    const auto it = subs_.find(join->token);
-    if (it == subs_.end()) return;  // unsubscribed mid-handshake
+    const Sub* sub = find_sub(join->token);
+    if (sub == nullptr) return;  // unsubscribed mid-handshake
     ++stats_.join_redirects;
     // The replay request follows the covering-search redirects: whichever
     // broker finally accepts the join serves it.
-    send(join->target, Subscribe{it->second.exact, id_, join->token,
-                                 it->second.durable, it->second.replay_from});
+    send(join->target, Subscribe{sub->exact, id_, join->token, sub->durable,
+                                 sub->replay_from});
     return;
   }
 
   if (auto* accepted = std::get_if<AcceptedAt>(&packet)) {
-    const auto it = subs_.find(accepted->token);
-    if (it == subs_.end()) return;
+    Sub* const sub = find_sub(accepted->token);
+    if (sub == nullptr) return;
     // A retried join can be accepted twice (the first AcceptedAt or JoinAt
     // was lost in transit, the retry raced it): keep the newest home and
     // retract the older lease so events are not delivered twice. With the
@@ -267,18 +280,17 @@ void SubscriberNode::on_packet(sim::NodeId from,
     // Superseded leases decay by TTL once renewals stop. (Same reasoning
     // for a home declared dead: if it revives, its stale lease just
     // expires.)
-    if (it->second.parent.has_value() &&
-        (*it->second.parent != accepted->node ||
-         it->second.stored_at_parent != accepted->stored) &&
-        !config_.dedup_events &&
-        dead_hosts_.count(*it->second.parent) == 0) {
-      send(*it->second.parent, Unsub{it->second.stored_at_parent, id_});
+    if (sub->parent.has_value() &&
+        (*sub->parent != accepted->node ||
+         sub->stored_at_parent != accepted->stored) &&
+        !config_.dedup_events && dead_hosts_.count(*sub->parent) == 0) {
+      send(*sub->parent, Unsub{sub->stored_at_parent, id_});
     }
-    it->second.parent = accepted->node;
-    it->second.stored_at_parent = std::move(accepted->stored);
+    sub->parent = accepted->node;
+    sub->stored_at_parent = std::move(accepted->stored);
     // The accepting broker has served any requested replay; clear it so
     // renewals, rejoins and duplicate-accept retries never re-request it.
-    it->second.replay_from = kNoReplay;
+    sub->replay_from = kNoReplay;
     sync_watches();
     return;
   }
@@ -287,12 +299,12 @@ void SubscriberNode::on_packet(sim::NodeId from,
     if (!config_.rejoin_on_expired) return;  // injected completeness bug
     // A hosting broker reaped our lease (lost renewals, partition healed):
     // re-run the join protocol for the affected subscriptions.
-    for (auto& [token, sub] : subs_) {
+    for (Sub& sub : subs_) {
       if (!sub.parent.has_value() || sub.stored_at_parent != expired->filter)
         continue;
       sub.parent.reset();
       ++stats_.rejoins;
-      send(root_, Subscribe{sub.exact, id_, token, sub.durable});
+      send(root_, Subscribe{sub.exact, id_, sub.token, sub.durable});
     }
     sync_watches();
   }
@@ -306,7 +318,7 @@ void SubscriberNode::deliver_event(sim::NodeId from, const EventMsg& ev) {
     if (!seen_events_.insert(ev.event_id)) return;
   }
   bool delivered = false;
-  for (auto& [token, sub] : subs_) {
+  for (const Sub& sub : subs_) {
     if (!sub.exact.matches(ev.image, registry_)) continue;
     if (sub.local && !sub.local(ev.image)) continue;
     delivered = true;
@@ -343,23 +355,18 @@ void SubscriberNode::emit_trace_span(const EventMsg& msg, sim::NodeId from,
     // holds still matches — that form is why the broker forwarded here. The
     // first exact constraint the event fails names the weakened-away
     // attribute to blame; when the exact filter passes but the stateful
-    // local predicate vetoed, no declarative attribute is at fault. Tokens
-    // are walked in ascending order so the blame list is deterministic.
-    std::vector<std::uint64_t> tokens;
-    tokens.reserve(subs_.size());
-    for (const auto& [token, sub] : subs_) tokens.push_back(token);
-    std::sort(tokens.begin(), tokens.end());
-    for (const std::uint64_t token : tokens) {
-      const Sub& sub = subs_.at(token);
+    // local predicate vetoed, no declarative attribute is at fault. The
+    // table is in ascending token order, so the blame list is deterministic.
+    for (const Sub& sub : subs_) {
       if (!sub.parent.has_value()) continue;
       if (!sub.stored_at_parent.matches(msg.image, registry_)) continue;
       std::string blame;
-      if (!sub.exact.type().matches(msg.image.type_name(), registry_)) {
+      if (!sub.exact.type().matches(msg.image.type_id(), registry_)) {
         blame = "(class)";
       } else {
         for (const auto& c : sub.exact.constraints()) {
           if (!c.matches(msg.image)) {
-            blame = c.name;
+            blame = c.name.text;
             break;
           }
         }
@@ -380,17 +387,16 @@ void SubscriberNode::emit_trace_span(const EventMsg& msg, sim::NodeId from,
       // merge cost from weakening cost. Deterministic, and it keeps the
       // span attributed: sums still reconcile against
       // metrics::spurious_deliveries with zero kUnattributed rows.
-      for (const std::uint64_t token : tokens) {
-        const Sub& sub = subs_.at(token);
+      for (const Sub& sub : subs_) {
         if (!sub.parent.has_value() || *sub.parent != from) continue;
         std::string blame;
-        if (!sub.stored_at_parent.type().matches(msg.image.type_name(),
+        if (!sub.stored_at_parent.type().matches(msg.image.type_id(),
                                                  registry_)) {
           blame = "(class)";
         } else {
           for (const auto& c : sub.stored_at_parent.constraints()) {
             if (!c.matches(msg.image)) {
-              blame = c.name;
+              blame = c.name.text;
               break;
             }
           }
@@ -406,7 +412,7 @@ void SubscriberNode::emit_trace_span(const EventMsg& msg, sim::NodeId from,
 
 void SubscriberNode::renew_task() {
   if (!detached_) {
-    for (const auto& [token, sub] : subs_) {
+    for (const Sub& sub : subs_) {
       if (sub.parent.has_value()) {
         send(*sub.parent, Renew{sub.stored_at_parent, id_});
         if (dead_hosts_.count(*sub.parent) != 0) {
@@ -415,7 +421,7 @@ void SubscriberNode::renew_task() {
           // same fault window): keep retrying while the old lease is kept
           // warm above.
           ++stats_.rejoins;
-          send(root_, Subscribe{sub.exact, id_, token, sub.durable});
+          send(root_, Subscribe{sub.exact, id_, sub.token, sub.durable});
         }
       } else {
         // Join still pending: the original Subscribe, a JoinAt redirect or
@@ -423,8 +429,8 @@ void SubscriberNode::renew_task() {
         // covering search is idempotent, and a duplicate accept is
         // reconciled above. A still-unserved replay request rides along.
         ++stats_.rejoins;
-        send(root_,
-             Subscribe{sub.exact, id_, token, sub.durable, sub.replay_from});
+        send(root_, Subscribe{sub.exact, id_, sub.token, sub.durable,
+                              sub.replay_from});
       }
     }
   }

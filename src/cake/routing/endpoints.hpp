@@ -14,6 +14,7 @@
 #include <optional>
 #include <unordered_map>
 #include <unordered_set>
+#include <vector>
 
 #include "cake/journal/journal.hpp"
 #include "cake/link/link.hpp"
@@ -76,6 +77,8 @@ struct SubscriberConfig {
 class SubscriberNode {
 public:
   /// Called for each event that passed the subscription's exact filter.
+  /// It runs inside the node's delivery loop, so it must not subscribe or
+  /// unsubscribe on the node that runs it.
   using Handler = std::function<void(const event::EventImage&)>;
   /// Arbitrary end-to-end predicate (the paper's closure filters); may keep
   /// state between calls. Applied after the declarative filter.
@@ -185,6 +188,7 @@ public:
 
 private:
   struct Sub {
+    std::uint64_t token = 0;
     filter::ConjunctiveFilter exact;
     Handler handler;
     LocalPredicate local;
@@ -197,6 +201,9 @@ private:
     std::uint64_t replay_from = kNoReplay;
   };
 
+  /// The live subscription holding `token`, or null (binary search).
+  [[nodiscard]] Sub* find_sub(std::uint64_t token) noexcept;
+  [[nodiscard]] const Sub* find_sub(std::uint64_t token) const noexcept;
   /// Distinct nodes currently hosting at least one accepted subscription.
   [[nodiscard]] std::vector<sim::NodeId> hosting_nodes() const;
 
@@ -231,7 +238,10 @@ private:
   // renewed (make-before-break) until a replacement home is confirmed, but
   // they are not re-watched; any packet from one revives it.
   std::unordered_set<sim::NodeId> dead_hosts_;
-  std::unordered_map<std::uint64_t, Sub> subs_;
+  // Live subscriptions in ascending token order. Tokens only grow, so a
+  // subscribe appends; the exact stage walks this contiguous table once per
+  // arrival.
+  std::vector<Sub> subs_;
   runtime::PeriodicTask renew_;
   /// The most recent `capacity` distinct event ids, FIFO eviction.
   class RecentIds {

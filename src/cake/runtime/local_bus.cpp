@@ -14,7 +14,7 @@ LocalBus::LocalBus(const BusOptions& options,
 
 LocalBus::Token LocalBus::subscribe(filter::ConjunctiveFilter filter,
                                     Handler handler, Predicate predicate) {
-  if (const reflect::TypeInfo* type = registry_.find(filter.type().name))
+  if (const reflect::TypeInfo* type = registry_.find(filter.type().name.id))
     filter = filter.standard_form(*type);
 
   auto subscription = std::make_shared<Subscription>();

@@ -88,7 +88,7 @@ public:
                   std::function<bool(const T&)> predicate = {}) {
     if (f.type().accepts_all()) {
       f = filter::ConjunctiveFilter{
-          filter::TypeConstraint{registry_.get<T>().name(), true},
+          filter::TypeConstraint{registry_.get<T>().symbol(), true},
           f.constraints()};
     }
     Handler wrapped;

@@ -14,7 +14,7 @@ ConjunctiveFilter weaken_filter(const ConjunctiveFilter& filter,
   std::vector<AttributeConstraint> constraints;
   for (const auto& constraint : filter.constraints()) {
     if (constraint.is_wildcard()) continue;
-    if (std::find(kept.begin(), kept.end(), constraint.name) != kept.end())
+    if (std::find(kept.begin(), kept.end(), constraint.name.text) != kept.end())
       constraints.push_back(constraint);
   }
   return ConjunctiveFilter{filter.type(), std::move(constraints)};
@@ -53,11 +53,11 @@ TypeConstraint join_types(const TypeConstraint& a, const TypeConstraint& b,
                           const reflect::TypeRegistry& registry) {
   if (TypeConstraint::covers(a, b, registry)) return a;
   if (TypeConstraint::covers(b, a, registry)) return b;
-  const reflect::TypeInfo* ta = registry.find(a.name);
-  const reflect::TypeInfo* tb = registry.find(b.name);
+  const reflect::TypeInfo* ta = registry.find(a.name.id);
+  const reflect::TypeInfo* tb = registry.find(b.name.id);
   if (ta != nullptr && tb != nullptr) {
     for (const reflect::TypeInfo* anc = ta; anc != nullptr; anc = anc->parent()) {
-      if (tb->conforms_to(*anc)) return TypeConstraint{anc->name(), true};
+      if (tb->conforms_to(*anc)) return TypeConstraint{anc->symbol(), true};
     }
   }
   return TypeConstraint{};  // unrelated: accept every type

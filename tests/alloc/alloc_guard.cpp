@@ -15,6 +15,7 @@
 #include <new>
 #include <optional>
 #include <string>
+#include <vector>
 
 #include "cake/filter/filter.hpp"
 #include "cake/link/link.hpp"
@@ -326,6 +327,97 @@ TEST(AllocGuard, SubscriberEdgeDeliveryIsAllocationFree) {
   EXPECT_EQ(handled, 64u + kEvents);
   EXPECT_EQ(subscriber.stats().events_delivered, 64u + kEvents);
   EXPECT_EQ(title_bytes, (64u + kEvents) * title_size);
+}
+
+// The subscriber's exact stage over a full table: twenty subscriptions on
+// one subscriber, one of which matches. Every arrival runs all twenty exact
+// filters (type tests by interned id, subtype walks, absent attributes,
+// bounds, prefixes) and one handler; none of it allocates.
+TEST(AllocGuard, SubscriberExactStageOverTwentySubscriptionsIsAllocationFree) {
+  workload::ensure_types_registered();
+  const auto& registry = reflect::TypeRegistry::global();
+
+  sim::Scheduler scheduler;
+  runtime::SimTransport transport{scheduler};
+  sim::Network network{scheduler, 10};
+
+  routing::BrokerConfig broker_config;
+  broker_config.auto_renew = false;
+  routing::Broker broker{1, 1, network, transport, registry, broker_config,
+                         util::Rng{7}};
+  broker.start();
+  routing::SubscriberConfig sub_config;
+  sub_config.auto_renew = false;
+  routing::SubscriberNode subscriber{2,         1,        network, transport,
+                                     registry, sub_config};
+  subscriber.start();
+
+  std::uint64_t handled = 0;
+  std::uint64_t misfired = 0;
+  const auto miss = [&misfired](const event::EventImage&) { ++misfired; };
+  std::vector<filter::ConjunctiveFilter> misses;
+  for (int year = 1995; year < 2002; ++year)
+    misses.push_back(
+        FilterBuilder{"Publication"}.where("year", Op::Eq, Value{year}).build());
+  misses.push_back(FilterBuilder{"Stock"}.where("price", Op::Lt, Value{1.0}).build());
+  misses.push_back(FilterBuilder{"Auction", true}.build());
+  misses.push_back(FilterBuilder{"Mystery"}.build());
+  misses.push_back(
+      FilterBuilder{"CarAuction"}.where("doors", Op::Gt, Value{2}).build());
+  misses.push_back(
+      FilterBuilder{"Publication"}.where("author", Op::Eq, Value{"Lamport"}).build());
+  misses.push_back(
+      FilterBuilder{"Publication"}.where("title", Op::Prefix, Value{"Zebra"}).build());
+  misses.push_back(FilterBuilder{"Publication"}
+                       .where("conference", Op::Ne, Value{"ICDCS"})
+                       .build());
+  misses.push_back(
+      FilterBuilder{"Publication"}.where("year", Op::Lt, Value{1900}).build());
+  misses.push_back(
+      FilterBuilder{"Publication"}.where("pages", Op::Exists).build());
+  misses.push_back(FilterBuilder{"Publication"}
+                       .where("year", Op::Eq, Value{2002})
+                       .where("author", Op::Ne, Value{"Eugster"})
+                       .build());
+  misses.push_back(FilterBuilder{}.where("symbol", Op::Eq, Value{"Foo"}).build());
+  misses.push_back(FilterBuilder{"Publication"}
+                       .where("year", Op::Ge, Value{2003})
+                       .where("conference", Op::Eq, Value{"ICDCS"})
+                       .build());
+  ASSERT_EQ(misses.size(), 19u);
+  for (std::size_t i = 0; i < misses.size(); ++i) {
+    if (i == 9) {
+      subscriber.subscribe(FilterBuilder{"Publication"}
+                               .where("year", Op::Eq, Value{2002})
+                               .where("conference", Op::Eq, Value{"ICDCS"})
+                               .build(),
+                           [&handled](const event::EventImage&) { ++handled; });
+    }
+    subscriber.subscribe(misses[i], miss);
+  }
+  scheduler.run();
+  ASSERT_EQ(subscriber.subscriptions(), 20u);
+
+  const event::EventImage image = long_title_image();
+  std::uint64_t event_id = 0;
+  for (int i = 0; i < 64; ++i) {
+    network.send(0, 1, routing::encode_event_frame(image, 0, ++event_id, 0));
+    scheduler.run();
+  }
+  ASSERT_EQ(handled, 64u);
+
+  constexpr std::uint64_t kEvents = 512;
+  const std::uint64_t before = news();
+  for (std::uint64_t i = 0; i < kEvents; ++i) {
+    network.send(0, 1, routing::encode_event_frame(image, 0, ++event_id, 0));
+    scheduler.run();
+  }
+  EXPECT_EQ(news() - before, 0u)
+      << "the exact stage over twenty subscriptions allocated on the heap";
+  EXPECT_EQ(handled, 64u + kEvents);
+  EXPECT_EQ(misfired, 0u);
+  EXPECT_EQ(subscriber.stats().events_received, 64u + kEvents);
+  EXPECT_EQ(subscriber.stats().events_delivered, 64u + kEvents);
 }
 
 // LocalBus::publish: the typed event -> image extraction reuses a

@@ -316,7 +316,7 @@ TEST_F(ConcurrentBusTest, SubscribeUnsubscribeLinearizeAgainstOwnPublishes) {
   std::vector<std::thread> threads;
   for (int t = 0; t < kThreads; ++t) {
     threads.emplace_back([&bus, &failures, t] {
-      const std::string symbol = "T" + std::to_string(t);
+      const std::string symbol = std::string{"T"}.append(std::to_string(t));
       std::atomic<std::uint64_t> count{0};
       for (int round = 0; round < kRounds; ++round) {
         const auto token = bus.subscribe<Stock>(

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
 
 #include "cake/routing/broker.hpp"
 #include "cake/routing/overlay.hpp"
@@ -289,6 +290,145 @@ TEST_F(EndpointsTest, TypedPublishExtractsImageViaReflection) {
   publisher_->publish(workload::Stock{"BBB", 60.0, 10});
   overlay_->run();
   EXPECT_EQ(symbols, std::vector<std::string>{"AAA"});
+}
+
+// ---- the subscription table ------------------------------------------------
+
+// One root broker: every subscription of a subscriber lives there, so each
+// event reaches the subscriber over exactly one path.
+struct TableFx {
+  TableFx() {
+    workload::ensure_types_registered();
+    OverlayConfig config;
+    config.stage_counts = {1};
+    overlay = std::make_unique<Overlay>(config);
+    publisher = &overlay->add_publisher();
+    publisher->advertise(workload::BiblioGenerator::schema());
+    overlay->run();
+  }
+
+  void publish(int year, const std::string& author) {
+    publisher->publish(EventImage{"Publication",
+                                  {{"year", Value{year}},
+                                   {"conference", Value{"ICDCS"}},
+                                   {"author", Value{author}},
+                                   {"title", Value{"t"}}}});
+    overlay->run();
+  }
+
+  std::unique_ptr<Overlay> overlay;
+  PublisherNode* publisher = nullptr;
+};
+
+filter::ConjunctiveFilter year_filter(int year) {
+  return FilterBuilder{"Publication"}.where("year", Op::Eq, Value{year}).build();
+}
+
+TEST(SubscriptionTable, MatchingHandlersRunOnceEachInAscendingTokenOrder) {
+  TableFx fx;
+  auto& sub = fx.overlay->add_subscriber();
+  std::vector<std::uint64_t> tokens;
+  std::vector<std::uint64_t> calls;
+  // Five matching subscriptions with a non-matching one between each.
+  for (int i = 0; i < 5; ++i) {
+    const std::size_t slot = tokens.size();
+    tokens.push_back(sub.subscribe(
+        year_filter(2002), [&calls, &tokens, slot](const EventImage&) {
+          calls.push_back(tokens[slot]);
+        }));
+    sub.subscribe(year_filter(1990 + i),
+                  [&calls](const EventImage&) { calls.push_back(0); });
+  }
+  fx.overlay->run();
+  ASSERT_TRUE(std::is_sorted(tokens.begin(), tokens.end()));
+
+  fx.publish(2002, "Eugster");
+  EXPECT_EQ(calls, tokens);
+  EXPECT_EQ(sub.stats().events_received, 1u);
+  EXPECT_EQ(sub.stats().events_delivered, 1u);
+}
+
+TEST(SubscriptionTable, UnsubscribingFirstMiddleAndLastKeepsTheRestDelivering) {
+  TableFx fx;
+  auto& sub = fx.overlay->add_subscriber();
+  const sim::NodeId root = fx.overlay->root().id();
+  std::vector<std::uint64_t> tokens;
+  std::map<std::uint64_t, int> counts;
+  for (int i = 0; i < 5; ++i) {
+    const std::string author = std::string{"A"}.append(std::to_string(i));
+    const std::uint64_t token = sub.subscribe(
+        FilterBuilder{"Publication"}.where("author", Op::Eq, Value{author}).build(),
+        [&counts, &tokens, i](const EventImage&) { ++counts[tokens[i]]; });
+    tokens.push_back(token);
+  }
+  fx.overlay->run();
+  const auto publish_all = [&] {
+    for (int i = 0; i < 5; ++i)
+      fx.publish(2002, std::string{"A"}.append(std::to_string(i)));
+  };
+
+  std::vector<std::uint64_t> live = tokens;
+  std::map<std::uint64_t, int> expected;
+  for (const std::uint64_t token : tokens) expected[token] = 0;
+  // First, then middle, then last of what is left: 0, 2, 4.
+  for (const std::size_t gone : {0u, 2u, 4u}) {
+    for (const std::uint64_t token : live) ++expected[token];
+    publish_all();
+    EXPECT_EQ(counts, expected);
+    for (const std::uint64_t token : tokens) {
+      const bool alive =
+          std::find(live.begin(), live.end(), token) != live.end();
+      EXPECT_EQ(sub.accepted_at(token),
+                alive ? std::optional<sim::NodeId>{root} : std::nullopt)
+          << "token " << token;
+    }
+    sub.unsubscribe(tokens[gone]);
+    live.erase(std::find(live.begin(), live.end(), tokens[gone]));
+    fx.overlay->run();
+    EXPECT_EQ(sub.subscriptions(), live.size());
+  }
+  for (const std::uint64_t token : live) ++expected[token];
+  publish_all();
+  EXPECT_EQ(counts, expected);
+  EXPECT_EQ(sub.accepted_at(tokens[1]), std::optional<sim::NodeId>{root});
+  EXPECT_EQ(sub.accepted_at(tokens[3]), std::optional<sim::NodeId>{root});
+  EXPECT_EQ(sub.accepted_at(tokens[0]), std::nullopt);
+  EXPECT_EQ(sub.accepted_at(tokens[4]), std::nullopt);
+  EXPECT_EQ(sub.accepted_at(tokens.back() + 1), std::nullopt);
+}
+
+TEST(SubscriptionTable, CompositeAmongPlainSubscriptionsFiresOncePerEvent) {
+  TableFx fx;
+  auto& sub = fx.overlay->add_subscriber();
+  int plain = 0;
+  int composite = 0;
+  const std::uint64_t before = sub.subscribe(
+      year_filter(2002), [&plain](const EventImage&) { ++plain; });
+  const std::vector<std::uint64_t> members = sub.subscribe_any(
+      {year_filter(2002),
+       FilterBuilder{"Publication"}
+           .where("author", Op::Eq, Value{"Eugster"})
+           .build(),
+       year_filter(2001)},
+      [&composite](const EventImage&) { ++composite; });
+  sub.subscribe(year_filter(2002), [&plain](const EventImage&) { ++plain; });
+  fx.overlay->run();
+
+  fx.publish(2002, "Eugster");  // two members match
+  fx.publish(2001, "Eugster");  // two members match
+  fx.publish(1999, "Lamport");  // none
+  EXPECT_EQ(composite, 2);
+  EXPECT_EQ(plain, 2);
+
+  // Dropping the plain subscription ahead of the group and the group's
+  // first member leaves the composite firing once per event.
+  sub.unsubscribe(before);
+  sub.unsubscribe(members[0]);
+  fx.overlay->run();
+  fx.publish(2002, "Eugster");
+  fx.publish(2001, "Lamport");
+  EXPECT_EQ(composite, 4);
+  EXPECT_EQ(plain, 3);
 }
 
 // An image with every value kind the wire carries, a string longer than

@@ -1,11 +1,16 @@
 #!/usr/bin/env bash
-# Digest of the differential-oracle outputs of one build tree: one
-# "name sha256" line per artifact, sorted, so checking that a change keeps
-# behaviour byte-identical to its parent is a single diff:
+# Digest of the differential-oracle outputs of a build tree: one
+# "name sha256" line per artifact, sorted.
 #
-#   tools/oracle_digest.sh build-parent > parent.txt
-#   tools/oracle_digest.sh build        > change.txt
-#   diff parent.txt change.txt
+#   tools/oracle_digest.sh <build-dir>
+#       prints every artifact's digest and exits 0.
+#   tools/oracle_digest.sh <build-a> <build-b>
+#       digests both trees and prints only the artifacts whose digests
+#       differ, as "name sha256-a sha256-b" ("-" for an artifact only one
+#       tree produced). Exits 0 when none differ and 1 when any do, so
+#       "this change keeps behaviour byte-identical to its parent" is:
+#
+#         tools/oracle_digest.sh build-parent build
 #
 # Artifacts:
 #   chaos/<mode>/seed-NNN   cake_chaos --seed N, seeds 0-199, in five modes:
@@ -16,29 +21,27 @@
 #   simulator/default       examples/simulator with no arguments
 #
 # Each digest covers the program's stdout plus its exit status. The script
-# records outcomes and never gates them: a failing chaos seed is one more
-# digest, and the script exits 0 once every run finished. It needs the
-# cake_chaos, cake_replay_cli and simulator targets built in <build-dir>,
-# and runs one process per CPU.
+# records outcomes and never gates them on their own: a failing chaos seed
+# is one more digest. Only the two-tree comparison has a failing exit. It
+# needs the cake_chaos, cake_replay_cli and simulator targets built in each
+# tree, and runs one process per CPU.
 set -euo pipefail
 
-if [[ $# -ne 1 ]]; then
-  echo "usage: tools/oracle_digest.sh <build-dir>" >&2
+if [[ $# -lt 1 || $# -gt 2 ]]; then
+  echo "usage: tools/oracle_digest.sh <build-dir> [<other-build-dir>]" >&2
   exit 2
 fi
-build=$(cd "$1" && pwd)
-chaos="$build/tests/chaos/cake_chaos"
-replay="$build/tools/cake_replay"
-simulator="$build/examples/simulator"
-for bin in "$chaos" "$replay" "$simulator"; do
-  if [[ ! -x $bin ]]; then
-    echo "oracle_digest: $bin is not built" >&2
-    exit 2
-  fi
+for tree in "$@"; do
+  for bin in tests/chaos/cake_chaos tools/cake_replay examples/simulator; do
+    if [[ ! -x $tree/$bin ]]; then
+      echo "oracle_digest: $tree/$bin is not built" >&2
+      exit 2
+    fi
+  done
 done
 
-work=$(mktemp -d)
-trap 'rm -rf "$work"' EXIT
+scratch=$(mktemp -d)
+trap 'rm -rf "$scratch"' EXIT
 
 # digest NAME CMD... : prints "NAME sha256" of CMD's stdout and exit status.
 digest() {
@@ -65,20 +68,38 @@ chaos_job() {
     --fail-file "$work/fail-$mode-$seed.txt"
 }
 export -f digest chaos_job
-export chaos work
 
-{
-  for mode in plain reliable-message-faults durable aggregate overload; do
-    for seed in $(seq 0 199); do echo "$mode $seed"; done
-  done | xargs -P "$(nproc)" -n 2 bash -c 'chaos_job "$@"' _
+# digest_tree BUILD-DIR: every artifact's digest line, sorted.
+digest_tree() {
+  local build
+  build=$(cd "$1" && pwd)
+  local replay="$build/tools/cake_replay"
+  export chaos="$build/tests/chaos/cake_chaos"
+  export work
+  work=$(mktemp -d -p "$scratch")
+  {
+    for mode in plain reliable-message-faults durable aggregate overload; do
+      for seed in $(seq 0 199); do echo "$mode $seed"; done
+    done | xargs -P "$(nproc)" -n 2 bash -c 'chaos_job "$@"' _
 
-  mkdir "$work/journal"
-  digest replay/record "$replay" record --dir "$work/journal" --seed 17
-  digest replay/replay "$replay" replay --dir "$work/journal" --seed 17
-  digest replay/verify "$replay" verify --dir "$work/journal" --seed 17
-  for file in "$work"/journal/*; do
-    digest "replay/journal/$(basename "$file")" cat "$file"
-  done
+    mkdir "$work/journal"
+    digest replay/record "$replay" record --dir "$work/journal" --seed 17
+    digest replay/replay "$replay" replay --dir "$work/journal" --seed 17
+    digest replay/verify "$replay" verify --dir "$work/journal" --seed 17
+    for file in "$work"/journal/*; do
+      digest "replay/journal/$(basename "$file")" cat "$file"
+    done
 
-  digest simulator/default "$simulator"
-} | LC_ALL=C sort
+    digest simulator/default "$build/examples/simulator"
+  } | LC_ALL=C sort
+}
+
+if [[ $# -eq 1 ]]; then
+  digest_tree "$1"
+  exit 0
+fi
+
+digest_tree "$1" > "$scratch/a.txt"
+digest_tree "$2" > "$scratch/b.txt"
+LC_ALL=C join -a 1 -a 2 -e - -o 0,1.2,2.2 "$scratch/a.txt" "$scratch/b.txt" |
+  awk '$2 != $3 { print; differ = 1 } END { exit differ }'
