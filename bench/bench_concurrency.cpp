@@ -148,7 +148,6 @@ struct Run {
 Run run_workload(bool multi_type, int threads, int events_per_thread,
                  std::vector<index::ShardStats>* shards_out = nullptr) {
   runtime::BusOptions options;
-  options.engine = index::Engine::Counting;
   options.shards = kShards;
   runtime::LocalBus bus{options};
   std::atomic<std::uint64_t> delivered{0};

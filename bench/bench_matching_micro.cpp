@@ -67,22 +67,6 @@ void BM_MatchCounting(benchmark::State& state) {
 }
 BENCHMARK(BM_MatchCounting)->Arg(10)->Arg(100)->Arg(1000)->Arg(10000);
 
-void BM_MatchTrie(benchmark::State& state) {
-  index::TrieIndex idx{reflect::TypeRegistry::global()};
-  fill_index(idx, static_cast<std::size_t>(state.range(0)));
-  workload::BiblioGenerator gen = make_generator();
-  std::vector<event::EventImage> events;
-  for (int i = 0; i < 64; ++i) events.push_back(gen.next_event());
-  std::vector<index::FilterId> out;
-  std::size_t i = 0;
-  for (auto _ : state) {
-    idx.match(events[i++ % events.size()], out);
-    benchmark::DoNotOptimize(out);
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
-}
-BENCHMARK(BM_MatchTrie)->Arg(10)->Arg(100)->Arg(1000)->Arg(10000);
-
 void BM_ImageExtraction(benchmark::State& state) {
   workload::ensure_types_registered();
   const workload::Stock stock{"FOO", 10.0, 32300};

@@ -63,11 +63,11 @@ struct ScalingArm {
   index::AggregateStats agg;        ///< aggregated arms only
 };
 
-// One engine's pair of arms: the same Zipf-covered population into an
-// unmerged index and an AggregatedIndex over the same engine, probed with
-// the same events. The superset check runs inside the probe loop.
-std::pair<ScalingArm, ScalingArm> run_scaling_pair(index::Engine engine,
-                                                   const std::string& tag,
+// The pair of arms: the same Zipf-covered population into an unmerged
+// counting index and an AggregatedIndex (whose representatives sit in a
+// counting index too), probed with the same events. The superset check
+// runs inside the probe loop.
+std::pair<ScalingArm, ScalingArm> run_scaling_pair(const std::string& tag,
                                                    std::size_t subs,
                                                    std::size_t probes,
                                                    std::size_t churn_ops) {
@@ -80,10 +80,9 @@ std::pair<ScalingArm, ScalingArm> run_scaling_pair(index::Engine engine,
   agg_arm.name = tag + "-agg";
   agg_arm.aggregated = true;
 
-  auto plain = index::make_index(engine, registry);
+  index::CountingIndex plain{registry};
   index::AggregateConfig agg_config;
   agg_config.enabled = true;
-  agg_config.engine = engine;
   // Table-scale knobs: at 10^6 entries the Zipf head piles hundreds of
   // duplicates onto each popular shape, so groups must hold more than the
   // broker default (un-merge refold stays bounded at max_group joins) and
@@ -108,7 +107,7 @@ std::pair<ScalingArm, ScalingArm> run_scaling_pair(index::Engine engine,
       batch.push_back(gen.next_subscription(i % 4));
 
     auto t0 = Clock::now();
-    for (auto& f : batch) plain->add(f);
+    for (auto& f : batch) plain.add(f);
     const double plain_s = std::chrono::duration<double>(Clock::now() - t0).count();
     plain_arm.build_subs_per_sec = static_cast<double>(subs) / plain_s;
 
@@ -123,7 +122,7 @@ std::pair<ScalingArm, ScalingArm> run_scaling_pair(index::Engine engine,
     agg_arm.build_subs_per_sec = static_cast<double>(subs) / agg_s;
   }
 
-  plain_arm.entries = plain->size();
+  plain_arm.entries = plain.size();
   plain_arm.entries_per_sub = 1.0;
   agg_arm.agg = agg.stats();
   agg_arm.entries = agg_arm.agg.groups;
@@ -143,7 +142,7 @@ std::pair<ScalingArm, ScalingArm> run_scaling_pair(index::Engine engine,
     std::vector<index::FilterId> out;
     auto t0 = Clock::now();
     for (const auto& image : events) {
-      plain->match(image, out);
+      plain.match(image, out);
       plain_arm.deliveries += out.size();
     }
     plain_arm.match_events_per_sec =
@@ -161,7 +160,7 @@ std::pair<ScalingArm, ScalingArm> run_scaling_pair(index::Engine engine,
 
     std::vector<index::FilterId> exact, merged;
     for (const auto& image : events) {
-      plain->match(image, exact);
+      plain.match(image, exact);
       agg.match(image, merged);
       std::sort(exact.begin(), exact.end());
       std::sort(merged.begin(), merged.end());
@@ -189,7 +188,7 @@ std::pair<ScalingArm, ScalingArm> run_scaling_pair(index::Engine engine,
       return static_cast<double>(churn_ops) /
              std::chrono::duration<double>(Clock::now() - t0).count();
     };
-    plain_arm.churn_ops_per_sec = churn(*plain, false);
+    plain_arm.churn_ops_per_sec = churn(plain, false);
     // Fresh id table for the aggregated index (same outer-id sequence).
     for (std::size_t i = 0; i < subs; ++i) live[i] = static_cast<index::FilterId>(i);
     churn_rng = util::Rng{77};
@@ -309,16 +308,9 @@ int main() {
             << probes << " probe events, " << churn_ops
             << " expire-and-replace churn ops\n\n";
 
-  std::vector<ScalingArm> arms;
-  for (const auto& [engine, tag] :
-       {std::pair{index::Engine::Counting, std::string{"counting-"} + suffix},
-        std::pair{index::Engine::ShardedCounting,
-                  std::string{"sharded-"} + suffix}}) {
-    auto [plain_arm, agg_arm] =
-        run_scaling_pair(engine, tag, a18_subs, probes, churn_ops);
-    arms.push_back(std::move(plain_arm));
-    arms.push_back(std::move(agg_arm));
-  }
+  auto [counting_arm, counting_agg_arm] = run_scaling_pair(
+      std::string{"counting-"} + suffix, a18_subs, probes, churn_ops);
+  const std::vector<ScalingArm> arms{counting_arm, counting_agg_arm};
 
   util::TextTable table{{"Arm", "Entries", "Entries/sub", "Idx bytes/sub",
                          "Build subs/s", "Match ev/s", "Churn ops/s",

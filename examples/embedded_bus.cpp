@@ -20,7 +20,7 @@ int main() {
   using value::Value;
 
   workload::ensure_types_registered();
-  runtime::LocalBus bus;  // counting-index engine by default
+  runtime::LocalBus bus;  // a counting index per event-class shard
 
   // A risk desk watches big cheap blocks with a stateful budget closure.
   std::size_t risk_alerts = 0;

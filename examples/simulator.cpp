@@ -8,6 +8,12 @@
 //
 // (one command line, wrapped here for width)
 //
+// Choice flags accept only these values; anything else exits 2 with the
+// usage line:
+//   --placement  covering (default) | random
+//   --engine     naive (default) | counting
+//   --topology   hierarchy (default) | peer
+//
 // Prints the §5.3 RLC table, the Fig. 7 per-stage matching rates and the
 // traffic totals for the configured run.
 #include <iostream>
@@ -65,25 +71,10 @@ int run_peer(std::size_t brokers, std::size_t subscribers, std::size_t events,
   return 0;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+/// The hierarchical simulation, or run_peer for --topology peer. Throws
+/// util::CliError on a malformed flag before any simulation work starts.
+int run(const cake::util::CliArgs& args) {
   using namespace cake;
-
-  util::CliArgs args{argc, argv};
-  try {
-    args.allow({"stages", "subscribers", "events", "placement", "engine",
-                "wildcard-every", "wildcard-count", "collapse", "author-skew",
-                "title-skew", "authors", "conferences", "years", "seed",
-                "topology", "brokers", "advertisements", "sample-ms", "help"});
-  } catch (const util::CliError& error) {
-    std::cerr << error.what() << "\n" << args.usage(argv[0]) << "\n";
-    return 2;
-  }
-  if (args.has("help")) {
-    std::cout << args.usage(argv[0]) << "\n";
-    return 0;
-  }
 
   const auto stage_counts = args.get_list("stages", {1, 10, 100});
   const auto subscribers = static_cast<std::size_t>(
@@ -91,12 +82,18 @@ int main(int argc, char** argv) {
   const auto events =
       static_cast<std::size_t>(args.get("events", std::int64_t{10'000}));
   const auto seed = static_cast<std::uint64_t>(args.get("seed", std::int64_t{2002}));
-  const std::string placement = args.get("placement", std::string{"covering"});
-  const std::string engine = args.get("engine", std::string{"naive"});
+  const std::string placement =
+      args.get_choice("placement", "covering", {"covering", "random"});
+  const std::string engine =
+      args.get_choice("engine", "naive", {"naive", "counting"});
+  const std::string topology =
+      args.get_choice("topology", "hierarchy", {"hierarchy", "peer"});
   const auto wildcard_every = static_cast<std::size_t>(
       args.get("wildcard-every", std::int64_t{0}));
   const auto wildcard_count = static_cast<std::size_t>(
       args.get("wildcard-count", std::int64_t{1}));
+  const auto sample_ms =
+      static_cast<sim::Time>(args.get("sample-ms", std::int64_t{0}));
 
   workload::ensure_types_registered();
 
@@ -106,12 +103,9 @@ int main(int argc, char** argv) {
   config.broker.placement = placement == "random"
                                 ? routing::Placement::Random
                                 : routing::Placement::CoveringSearch;
-  config.broker.engine = engine == "counting" ? index::Engine::Counting
-                         : engine == "trie"   ? index::Engine::Trie
-                                              : index::Engine::Naive;
+  config.broker.engine =
+      engine == "counting" ? index::Engine::Counting : index::Engine::Naive;
   config.broker.covering_collapse = args.get("collapse", false);
-
-  const std::string topology = args.get("topology", std::string{"hierarchy"});
 
   workload::BiblioConfig biblio;
   biblio.author_skew = args.get("author-skew", biblio.author_skew);
@@ -136,8 +130,6 @@ int main(int argc, char** argv) {
       workload::BiblioGenerator::schema(stage_counts.size() + 1));
   overlay.run();
 
-  const auto sample_ms =
-      static_cast<sim::Time>(args.get("sample-ms", std::int64_t{0}));
   std::unique_ptr<metrics::LoadSampler> sampler;
   if (sample_ms != 0) {
     sampler = std::make_unique<metrics::LoadSampler>(overlay, sample_ms * 1000);
@@ -189,4 +181,24 @@ int main(int argc, char** argv) {
             << "   messages: " << overlay.network().total_messages()
             << "   bytes: " << overlay.network().total_bytes() << "\n";
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  cake::util::CliArgs args{argc, argv};
+  try {
+    args.allow({"stages", "subscribers", "events", "placement", "engine",
+                "wildcard-every", "wildcard-count", "collapse", "author-skew",
+                "title-skew", "authors", "conferences", "years", "seed",
+                "topology", "brokers", "advertisements", "sample-ms", "help"});
+    if (args.has("help")) {
+      std::cout << args.usage(argv[0]) << "\n";
+      return 0;
+    }
+    return run(args);
+  } catch (const cake::util::CliError& error) {
+    std::cerr << error.what() << "\n" << args.usage(argv[0]) << "\n";
+    return 2;
+  }
 }

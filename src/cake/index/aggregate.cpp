@@ -9,10 +9,7 @@ AggregatedIndex::AggregatedIndex(AggregateConfig config,
                                  const reflect::TypeRegistry& registry)
     : registry_(registry),
       config_(config),
-      inner_(make_index(config.engine == Engine::ShardedCounting
-                            ? Engine::ShardedCounting
-                            : config.engine,
-                        registry)) {
+      inner_(registry) {
   if (config_.max_group == 0) config_.max_group = 1;
 }
 
@@ -91,9 +88,9 @@ void AggregatedIndex::swap_rep(Group& group, filter::ConjunctiveFilter next) {
   const filter::ConjunctiveFilter old = std::move(group.rep);
   group.rep = std::move(next);
   link_rep(gid);
-  inner_->remove(group.inner_id);
+  inner_.remove(group.inner_id);
   by_inner_.erase(group.inner_id);
-  group.inner_id = inner_->add(group.rep);
+  group.inner_id = inner_.add(group.rep);
   by_inner_.emplace(group.inner_id,
                     static_cast<std::size_t>(&group - groups_.data()));
   notify(&old, &group.rep);
@@ -187,7 +184,7 @@ FilterId AggregatedIndex::add(filter::ConjunctiveFilter filter) {
   group.members.assign(1, outer);
   group.bucket = std::move(sig);
   group.alive = true;
-  group.inner_id = inner_->add(group.rep);
+  group.inner_id = inner_.add(group.rep);
   by_inner_.emplace(group.inner_id, gid);
   link_rep(gid);
   buckets_[group.bucket].insert(buckets_[group.bucket].begin(), gid);
@@ -200,7 +197,7 @@ FilterId AggregatedIndex::add(filter::ConjunctiveFilter filter) {
 
 void AggregatedIndex::drop_group(std::size_t gid) {
   Group& group = groups_[gid];
-  inner_->remove(group.inner_id);
+  inner_.remove(group.inner_id);
   by_inner_.erase(group.inner_id);
   unlink_rep(gid);
   std::vector<std::size_t>& bucket = buckets_[group.bucket];
@@ -242,7 +239,7 @@ void AggregatedIndex::match(const event::EventImage& image,
                             std::vector<FilterId>& out,
                             MatchScratch& scratch) const {
   std::shared_lock lock{mutex_};
-  inner_->match(image, scratch.agg_ids_, scratch);
+  inner_.match(image, scratch.agg_ids_, scratch);
   out.clear();
   for (const FilterId inner_id : scratch.agg_ids_) {
     const auto it = by_inner_.find(inner_id);
@@ -367,7 +364,7 @@ std::string AggregatedIndex::check_invariants() const {
     const auto it = by_inner_.find(group.inner_id);
     if (it == by_inner_.end() || it->second != gid)
       return "group " + std::to_string(gid) + " inner id is unmapped";
-    const filter::ConjunctiveFilter* stored = inner_->find(group.inner_id);
+    const filter::ConjunctiveFilter* stored = inner_.find(group.inner_id);
     if (stored == nullptr || *stored != group.rep)
       return "inner engine disagrees with group " + std::to_string(gid);
     const auto bucket = buckets_.find(group.bucket);
@@ -388,7 +385,7 @@ std::string AggregatedIndex::check_invariants() const {
   if (rep_links != group_count)
     return "rep map does not list every live group exactly once";
   if (by_inner_.size() != group_count) return "inner map holds dead groups";
-  if (inner_->size() != group_count)
+  if (inner_.size() != group_count)
     return "inner engine size disagrees with live groups";
   for (const auto& [sig, ids] : buckets_) {
     for (const std::size_t gid : ids) {

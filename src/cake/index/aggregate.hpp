@@ -51,8 +51,6 @@ inline constexpr std::size_t kRebalanceBudget = 32;
 /// which case brokers build their engine directly and nothing changes).
 struct AggregateConfig {
   bool enabled = false;
-  /// Inner engine the group representatives are matched by.
-  Engine engine = Engine::Counting;
   /// Constituents one merged entry may absorb. Bounds un-merge cost: a
   /// removal re-folds at most this many joins.
   std::size_t max_group = 64;
@@ -96,14 +94,14 @@ struct AggregateStats {
   }
 };
 
-/// Covering-based merging façade over any inner engine.
+/// Covering-based merging façade over a counting index of representatives.
 ///
 /// Outer FilterIds are sequential and never reused (like every other
 /// engine), so callers keyed by id — the broker's entry table, the
 /// differential tests — see ordinary MatchIndex behaviour; only the inner
-/// entry count shrinks. match() takes a shared lock for the group-to-member
-/// expansion (the inner engine adds its own guarantees); add()/remove()/
-/// rebalance() serialize behind the unique side.
+/// entry count shrinks. match() takes a shared lock over the inner match
+/// and the group-to-member expansion; add()/remove()/rebalance() serialize
+/// behind the unique side.
 class AggregatedIndex final : public MatchIndex {
 public:
   /// A representative entering or leaving the inner engine. `removed` /
@@ -198,7 +196,7 @@ private:
   Listener listener_;
 
   mutable std::shared_mutex mutex_;
-  std::unique_ptr<MatchIndex> inner_;
+  CountingIndex inner_;  // matches the group representatives
   std::vector<Member> members_;  // outer id -> member
   std::vector<Group> groups_;
   std::vector<std::size_t> free_groups_;

@@ -101,10 +101,11 @@ public:
   [[nodiscard]] virtual const filter::ConjunctiveFilter* find(FilterId id) const noexcept = 0;
 };
 
-/// Which engine a broker should use. `ShardedCounting` wraps one counting
-/// index per event-class shard behind reader–writer locks (see sharded.hpp);
-/// the others are single-table engines needing external synchronization.
-enum class Engine { Naive, Counting, Trie, ShardedCounting };
+/// Which single-table engine a broker, peer or baseline server runs: the
+/// Fig. 6 reference scan or the counting index. Both need external
+/// synchronization for writers; `ShardedIndex` (sharded.hpp) and
+/// `AggregatedIndex` (aggregate.hpp) build counting indexes directly.
+enum class Engine { Naive, Counting };
 
 /// Factory: builds an engine bound to `registry` for subtype tests.
 [[nodiscard]] std::unique_ptr<MatchIndex> make_index(
@@ -170,63 +171,6 @@ private:
   std::unordered_map<symbol::Id, std::vector<FilterId>> exact_type_;
   // type-name symbol -> ids of subtype-inclusive filters rooted at it
   std::unordered_map<symbol::Id, std::vector<FilterId>> subtree_type_;
-};
-
-/// Discrimination-tree matcher specialized for the equality-heavy,
-/// standard-form filters the weakening pipeline produces.
-///
-/// Each filter's equality constraints (in filter order) form a path of
-/// (attribute, value) edges; filters sharing prefixes — e.g. thousands of
-/// (year, conference, author, title) subscriptions over a skewed universe
-/// — share tree structure, so matching cost tracks the number of
-/// *distinct matching prefixes*, not the number of filters. Non-equality
-/// constraints and the type test are verified on the terminal candidates
-/// (the tree is a sound, complete candidate pre-filter: an equality
-/// constraint on an attribute the event lacks or differs on can never
-/// match, so pruned subtrees contain no matching filters).
-class TrieIndex final : public MatchIndex {
-public:
-  explicit TrieIndex(const reflect::TypeRegistry& registry) : registry_(registry) {}
-
-  using MatchIndex::match;
-  FilterId add(filter::ConjunctiveFilter filter) override;
-  void remove(FilterId id) override;
-  void match(const event::EventImage& image, std::vector<FilterId>& out,
-             MatchScratch& scratch) const override;
-  [[nodiscard]] std::size_t size() const noexcept override { return live_; }
-  [[nodiscard]] const filter::ConjunctiveFilter* find(FilterId id) const noexcept override;
-
-  /// Number of tree nodes (diagnostics: structure sharing across filters).
-  [[nodiscard]] std::size_t node_count() const noexcept { return nodes_.size(); }
-
-private:
-  struct EdgeKey {
-    symbol::Id attribute = 0;  // interned: integer compare, no string hash
-    value::Value operand;
-    [[nodiscard]] bool operator==(const EdgeKey&) const = default;
-  };
-  struct EdgeKeyHash {
-    std::size_t operator()(const EdgeKey& key) const noexcept {
-      return std::hash<symbol::Id>{}(key.attribute) * 1315423911u ^
-             key.operand.hash();
-    }
-  };
-  struct Node {
-    std::unordered_map<EdgeKey, std::size_t, EdgeKeyHash> edges;  // -> node idx
-    std::vector<FilterId> terminal;  // filters whose Eq-path ends here
-  };
-  struct Entry {
-    filter::ConjunctiveFilter filter;
-    bool alive = true;
-  };
-
-  void match_node(std::size_t node_index, const event::EventImage& image,
-                  std::vector<FilterId>& out) const;
-
-  const reflect::TypeRegistry& registry_;
-  std::vector<Node> nodes_{1};  // nodes_[0] is the root
-  std::vector<Entry> entries_;
-  std::size_t live_ = 0;
 };
 
 }  // namespace cake::index

@@ -17,13 +17,13 @@ std::size_t default_shard_count() {
 
 }  // namespace
 
-ShardedIndex::ShardedIndex(Engine inner, const reflect::TypeRegistry& registry,
+ShardedIndex::ShardedIndex(const reflect::TypeRegistry& registry,
                            std::size_t shards) {
-  if (inner == Engine::ShardedCounting) inner = Engine::Counting;
   const std::size_t count =
       shards == 0 ? default_shard_count() : std::bit_ceil(shards);
   shards_ = std::vector<Shard>(count);
-  for (Shard& shard : shards_) shard.inner = make_index(inner, registry);
+  for (Shard& shard : shards_)
+    shard.inner = std::make_unique<CountingIndex>(registry);
 }
 
 FilterId ShardedIndex::add(filter::ConjunctiveFilter filter) {
@@ -40,26 +40,24 @@ FilterId ShardedIndex::add(filter::ConjunctiveFilter filter) {
     placements_.emplace_back();  // placeholder; published below
   }
 
+  // Adds to one shard under its writer lock and maps the inner id back.
+  const auto insert = [id](Shard& shard, filter::ConjunctiveFilter f) {
+    std::unique_lock shard_lock{shard.mutex};
+    const FilterId inner_id = shard.inner->add(std::move(f));
+    if (inner_id >= shard.to_outer.size()) shard.to_outer.resize(inner_id + 1);
+    shard.to_outer[inner_id] = id;
+    return inner_id;
+  };
   Placement placement;
-  placement.broad = broad;
   placement.alive = true;
   if (broad) {
     placement.inner.reserve(shards_.size());
-    for (Shard& shard : shards_) {
-      std::unique_lock shard_lock{shard.mutex};
-      const FilterId inner_id = shard.inner->add(filter);
-      if (inner_id >= shard.to_outer.size()) shard.to_outer.resize(inner_id + 1);
-      shard.to_outer[inner_id] = id;
-      placement.inner.push_back(inner_id);
-    }
+    for (Shard& shard : shards_)
+      placement.inner.push_back(insert(shard, filter));
   } else {
     placement.shard = shard_of(type.name.text);
-    Shard& shard = shards_[placement.shard];
-    std::unique_lock shard_lock{shard.mutex};
-    const FilterId inner_id = shard.inner->add(std::move(filter));
-    if (inner_id >= shard.to_outer.size()) shard.to_outer.resize(inner_id + 1);
-    shard.to_outer[inner_id] = id;
-    placement.inner.push_back(inner_id);
+    placement.inner.push_back(
+        insert(shards_[placement.shard], std::move(filter)));
   }
 
   {
@@ -80,15 +78,10 @@ void ShardedIndex::remove(FilterId id) {
   }
   live_.fetch_sub(1, std::memory_order_relaxed);
 
-  if (placement.broad) {
-    for (std::size_t s = 0; s < shards_.size(); ++s) {
-      std::unique_lock shard_lock{shards_[s].mutex};
-      shards_[s].inner->remove(placement.inner[s]);
-    }
-  } else {
-    Shard& shard = shards_[placement.shard];
+  for (std::size_t i = 0; i < placement.inner.size(); ++i) {
+    Shard& shard = shards_[placement.shard + i];
     std::unique_lock shard_lock{shard.mutex};
-    shard.inner->remove(placement.inner.front());
+    shard.inner->remove(placement.inner[i]);
   }
 }
 
@@ -115,8 +108,7 @@ const filter::ConjunctiveFilter* ShardedIndex::find(FilterId id) const noexcept 
     if (id >= placements_.size() || !placements_[id].alive) return nullptr;
     placement = placements_[id];
   }
-  const Shard& shard =
-      shards_[placement.broad ? std::size_t{0} : placement.shard];
+  const Shard& shard = shards_[placement.shard];
   std::shared_lock shard_lock{shard.mutex};
   return shard.inner->find(placement.inner.front());
 }

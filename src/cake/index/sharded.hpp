@@ -4,14 +4,14 @@
 // of exactly one class, so only filters naming that class (or a supertype)
 // can match it. `ShardedIndex` turns that observation into a concurrency
 // structure: the filter population is partitioned by event class name into
-// N shards, each running its own single-table engine behind its own
+// N shards, each running its own counting index behind its own
 // reader–writer lock. A match consults exactly one shard — the one the
 // event's class hashes to — under a *shared* lock, so:
 //
 //   * matchers on distinct event classes never touch the same lock word
 //     (beyond the hash collisions of class → shard);
-//   * matchers on the same class proceed concurrently, because every
-//     engine draws its counting state from the caller's MatchScratch
+//   * matchers on the same class proceed concurrently, because the
+//     counting index draws its state from the caller's MatchScratch
 //     rather than from shared mutable members;
 //   * add/remove take the writer side of only the affected shard(s), so
 //     subscription churn on one event class never stalls matching on
@@ -22,7 +22,7 @@
 // subtypes may be registered later) — are *replicated* into every shard.
 // That keeps the routing invariant trivially sound and complete: every
 // filter that could match an event of class C is present in shard(C), and
-// each inner engine re-checks the full filter, so replicas never produce
+// each shard's index matches the full filter, so replicas never produce
 // false positives. The cost is one insert per shard for broad filters —
 // the same trade Shi et al. make for predicate-sharded aggregation, and a
 // good one under the paper's workloads, where almost all subscriptions
@@ -49,11 +49,10 @@ struct ShardStats {
 
 class ShardedIndex final : public MatchIndex {
 public:
-  /// `inner` is the engine each shard runs (ShardedCounting collapses to
-  /// Counting — shards do not nest). `shards` == 0 sizes the table to the
-  /// hardware: the next power of two ≥ the core count, clamped to [4, 64].
-  explicit ShardedIndex(Engine inner = Engine::Counting,
-                        const reflect::TypeRegistry& registry =
+  /// Every shard runs a `CountingIndex`. `shards` is rounded up to a power
+  /// of two; 0 sizes the table to the hardware: the next power of two ≥
+  /// the core count, clamped to [4, 64].
+  explicit ShardedIndex(const reflect::TypeRegistry& registry =
                             reflect::TypeRegistry::global(),
                         std::size_t shards = 0);
 
@@ -80,15 +79,15 @@ public:
 private:
   struct alignas(64) Shard {  // own cache line: rwlock + counters stay private
     mutable std::shared_mutex mutex;
-    std::unique_ptr<MatchIndex> inner;
+    std::unique_ptr<CountingIndex> inner;
     std::vector<FilterId> to_outer;  // inner id -> outer id
     mutable std::atomic<std::uint64_t> matches{0};
     mutable std::atomic<std::uint64_t> hits{0};
   };
-  /// Where one outer filter lives. Broad filters carry one inner id per
-  /// shard; pinned ones a single id in their home shard.
+  /// Where one outer filter lives: `inner[i]` is its id in shard
+  /// `shard + i`. A broad filter starts at shard 0 and has one id per
+  /// shard; a pinned one has a single id in its home shard.
   struct Placement {
-    bool broad = false;
     std::size_t shard = 0;
     std::vector<FilterId> inner;
     bool alive = false;

@@ -92,7 +92,7 @@ struct StageSummary {
 /// Max-over-mean of match-call counts across shards of a sharded matching
 /// engine: 1.0 = perfectly even traffic, N = everything hammers one of N
 /// shards (publishers contend as if unsharded). 0 when no shard saw
-/// traffic. Feed it LocalBus::shard_stats() or Broker::shard_stats().
+/// traffic. Feed it LocalBus::shard_stats() or ShardedIndex::shard_stats().
 [[nodiscard]] double shard_imbalance(const std::vector<index::ShardStats>& shards);
 
 /// Renders per-shard match counters: shard id, match calls, hit rate and

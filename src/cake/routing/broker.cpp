@@ -34,10 +34,8 @@ Broker::Broker(sim::NodeId id, std::size_t stage, sim::Network& network,
 
 void Broker::build_index() {
   if (config_.aggregate.enabled) {
-    index::AggregateConfig agg_config = config_.aggregate;
-    agg_config.engine = config_.engine;  // broker's engine runs inside
     auto aggregated =
-        std::make_unique<index::AggregatedIndex>(agg_config, registry_);
+        std::make_unique<index::AggregatedIndex>(config_.aggregate, registry_);
     agg_ = aggregated.get();
     aggregated->set_listener(
         [this](const index::AggregatedIndex::GroupUpdate& update) {
@@ -148,11 +146,6 @@ BrokerStats Broker::stats() const noexcept {
   s.associations = 0;
   for (const auto& [fid, entry] : entries_) s.associations += entry.leases.size();
   return s;
-}
-
-std::vector<index::ShardStats> Broker::shard_stats() const {
-  const auto* sharded = dynamic_cast<const index::ShardedIndex*>(index_.get());
-  return sharded ? sharded->shard_stats() : std::vector<index::ShardStats>{};
 }
 
 index::AggregateStats Broker::aggregate_stats() const {

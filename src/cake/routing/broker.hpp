@@ -27,7 +27,6 @@
 
 #include "cake/health/health.hpp"
 #include "cake/index/aggregate.hpp"
-#include "cake/index/sharded.hpp"
 #include "cake/journal/journal.hpp"
 #include "cake/link/link.hpp"
 #include "cake/routing/protocol.hpp"
@@ -74,10 +73,10 @@ struct BrokerConfig {
   index::Engine engine = index::Engine::Counting;
   /// Online subscription aggregation (DESIGN.md §13). When enabled, the
   /// filter table groups mutually-covered child filters under one merged
-  /// entry (their least-general upper bound), `engine` becomes the inner
-  /// engine matching the representatives, and the broker re-advertises the
-  /// LUB upward instead of every child form. Off = one entry per filter,
-  /// byte-identical to the pre-aggregation system.
+  /// entry (their least-general upper bound), a counting index matches the
+  /// representatives whatever `engine` says, and the broker re-advertises
+  /// the LUB upward instead of every child form. Off = one entry per
+  /// filter, byte-identical to the pre-aggregation system.
   index::AggregateConfig aggregate;
   Placement placement = Placement::CoveringSearch;
   /// Link-layer options. BestEffort (the default) keeps every send untagged
@@ -251,10 +250,6 @@ public:
   /// Forms currently submitted upward (the chaos oracle's table-fixpoint
   /// check cross-references these against the parent's table).
   [[nodiscard]] std::vector<filter::ConjunctiveFilter> active_upward() const;
-
-  /// Per-shard match counters when this broker runs the sharded engine
-  /// (config.engine == Engine::ShardedCounting); empty otherwise.
-  [[nodiscard]] std::vector<index::ShardStats> shard_stats() const;
 
   /// Aggregation counters when this broker merges its table
   /// (config.aggregate.enabled); default-constructed otherwise.

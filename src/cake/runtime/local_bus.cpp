@@ -4,13 +4,9 @@
 
 namespace cake::runtime {
 
-LocalBus::LocalBus(index::Engine engine, const reflect::TypeRegistry& registry)
-    : LocalBus(BusOptions{.engine = engine}, registry) {}
-
 LocalBus::LocalBus(const BusOptions& options,
                    const reflect::TypeRegistry& registry)
-    : registry_(registry),
-      index_(options.engine, registry, options.shards) {}
+    : registry_(registry), index_(registry, options.shards) {}
 
 LocalBus::Token LocalBus::subscribe(filter::ConjunctiveFilter filter,
                                     Handler handler, Predicate predicate) {

@@ -3,7 +3,7 @@
 // The simulator modules reproduce the paper's *distributed* system; this
 // is the embeddable flavour a host application links directly: the same
 // typed events, the same filter language (including closures evaluated
-// with full type safety), the same matching engines — but dispatching
+// with full type safety), the same counting index — but dispatching
 // within one process, with no serialization at all. Events are handed to
 // handlers as `const Event&`; the image is extracted once per publish for
 // matching only, so the paper's encapsulation story holds trivially.
@@ -49,9 +49,8 @@ struct BusStats {
 
 /// Construction knobs for LocalBus.
 struct BusOptions {
-  /// Engine run inside each shard (ShardedCounting collapses to Counting).
-  index::Engine engine = index::Engine::Counting;
-  /// Shard count; 0 = auto-size to the hardware (see ShardedIndex).
+  /// Shard count, each shard a counting index; 0 = auto-size to the
+  /// hardware (see ShardedIndex).
   std::size_t shards = 0;
 };
 
@@ -64,10 +63,7 @@ public:
   /// several threads.
   using Predicate = std::function<bool(const event::Event&)>;
 
-  explicit LocalBus(index::Engine engine = index::Engine::Counting,
-                    const reflect::TypeRegistry& registry =
-                        reflect::TypeRegistry::global());
-  explicit LocalBus(const BusOptions& options,
+  explicit LocalBus(const BusOptions& options = {},
                     const reflect::TypeRegistry& registry =
                         reflect::TypeRegistry::global());
 

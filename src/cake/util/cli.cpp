@@ -98,6 +98,19 @@ bool CliArgs::get(const std::string& flag, bool fallback) const {
   return it == values_.end() ? fallback : parse_bool(it->second);
 }
 
+std::string CliArgs::get_choice(const std::string& flag,
+                                const std::string& fallback,
+                                std::initializer_list<std::string> choices) const {
+  std::string value = get(flag, fallback);
+  std::string allowed;
+  for (const std::string& choice : choices) {
+    if (choice == value) return value;
+    allowed += allowed.empty() ? choice : "|" + choice;
+  }
+  throw CliError{"--" + flag + " expects one of " + allowed + ", got '" +
+                 value + "'"};
+}
+
 std::vector<std::size_t> CliArgs::get_list(
     const std::string& flag, std::vector<std::size_t> fallback) const {
   check_declared(flag);

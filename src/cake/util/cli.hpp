@@ -38,6 +38,12 @@ public:
   [[nodiscard]] double get(const std::string& flag, double fallback) const;
   [[nodiscard]] bool get(const std::string& flag, bool fallback) const;
 
+  /// String flag restricted to `choices`: any other value throws a
+  /// CliError that lists them, so a typo never falls back to a default.
+  [[nodiscard]] std::string get_choice(
+      const std::string& flag, const std::string& fallback,
+      std::initializer_list<std::string> choices) const;
+
   /// Comma-separated integer list, e.g. "--stages 1,10,100".
   [[nodiscard]] std::vector<std::size_t> get_list(
       const std::string& flag, std::vector<std::size_t> fallback) const;

@@ -426,8 +426,7 @@ TEST(AllocGuard, SubscriberExactStageOverTwentySubscriptionsIsAllocationFree) {
 // small constant that holds for *every* iteration, not just on average.
 TEST(AllocGuard, LocalBusPublishCostsAFixedSmallConstant) {
   workload::ensure_types_registered();
-  runtime::LocalBus bus{index::Engine::Counting,
-                        reflect::TypeRegistry::global()};
+  runtime::LocalBus bus;
   int delivered = 0;
   bus.subscribe(FilterBuilder{"Stock"}.build(),
                 [&](const event::Event&) { ++delivered; });

@@ -178,7 +178,6 @@ TrialResult run_trial(const HarnessConfig& cfg, const sim::FaultPlan& plan) {
   oc.broker.ttl = cfg.ttl;
   oc.broker.renew_interval = cfg.renew_interval;
   oc.broker.reap_interval = cfg.reap_interval;
-  oc.broker.engine = index::Engine::ShardedCounting;
   oc.subscriber.renew_interval = cfg.renew_interval;
   oc.subscriber.rejoin_on_expired = !cfg.inject_rejoin_bug;
   oc.broker.aggregate.enabled = cfg.aggregate;

@@ -97,5 +97,27 @@ TEST(Cli, NegativeNumberAsValueNotFlag) {
   EXPECT_EQ(args.get("n", std::int64_t{0}), -7);
 }
 
+TEST(Cli, ChoiceAcceptsListedValuesAndFallback) {
+  EXPECT_EQ(parse({"--engine", "counting"})
+                .get_choice("engine", "naive", {"naive", "counting"}),
+            "counting");
+  EXPECT_EQ(parse({}).get_choice("engine", "naive", {"naive", "counting"}),
+            "naive");
+}
+
+TEST(Cli, ChoiceRejectsUnlistedValueNamingTheChoices) {
+  const CliArgs args = parse({"--engine", "trie"});
+  try {
+    (void)args.get_choice("engine", "naive", {"naive", "counting"});
+    FAIL() << "an unlisted value must throw";
+  } catch (const CliError& error) {
+    EXPECT_STREQ(error.what(),
+                 "--engine expects one of naive|counting, got 'trie'");
+  }
+  EXPECT_THROW((void)parse({"--engine"}).get_choice("engine", "naive",
+                                                    {"naive", "counting"}),
+               CliError);  // bare flag = empty value, not the fallback
+}
+
 }  // namespace
 }  // namespace cake::util

@@ -40,7 +40,7 @@ TEST(ShardedIndexConcurrency, ParallelMatchersAgreeWithSerialOracle) {
   workload::ensure_types_registered();
   const auto& registry = reflect::TypeRegistry::global();
   index::NaiveTable naive{registry};
-  index::ShardedIndex sharded{index::Engine::Counting, registry, 8};
+  index::ShardedIndex sharded{registry, 8};
 
   // Mixed population: exact-type, subtype-inclusive (replicated) and
   // accept-all filters, over several event classes.
@@ -110,7 +110,7 @@ TEST(ShardedIndexConcurrency, ParallelMatchersAgreeWithSerialOracle) {
 TEST(ShardedIndexConcurrency, MatchersSeeStableFiltersDuringChurn) {
   workload::ensure_types_registered();
   const auto& registry = reflect::TypeRegistry::global();
-  index::ShardedIndex sharded{index::Engine::Counting, registry, 8};
+  index::ShardedIndex sharded{registry, 8};
 
   const index::FilterId stable_stock =
       sharded.add(FilterBuilder{"Stock"}.build());
@@ -174,7 +174,6 @@ class ConcurrentBusTest : public ::testing::Test {
 protected:
   static runtime::BusOptions options() {
     runtime::BusOptions options;
-    options.engine = index::Engine::Counting;
     options.shards = 8;
     return options;
   }

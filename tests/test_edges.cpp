@@ -73,20 +73,6 @@ TEST(Edges, RngFullSignedRange) {
   SUCCEED();
 }
 
-TEST(Edges, TrieRemoveThenReAddMatchesAgain) {
-  workload::ensure_types_registered();
-  index::TrieIndex trie{reflect::TypeRegistry::global()};
-  const auto f =
-      FilterBuilder{"Stock"}.where("symbol", Op::Eq, Value{"Foo"}).build();
-  const auto id1 = trie.add(f);
-  trie.remove(id1);
-  const auto id2 = trie.add(f);
-  EXPECT_NE(id1, id2);
-  std::vector<index::FilterId> out;
-  trie.match(event::image_of(workload::Stock{"Foo", 1.0, 1}), out);
-  EXPECT_EQ(out, std::vector<index::FilterId>{id2});
-}
-
 class PeerEngines : public ::testing::TestWithParam<index::Engine> {};
 
 TEST_P(PeerEngines, MeshDeliversUnderEveryEngine) {
@@ -110,16 +96,11 @@ TEST_P(PeerEngines, MeshDeliversUnderEveryEngine) {
 
 INSTANTIATE_TEST_SUITE_P(Engines, PeerEngines,
                          ::testing::Values(index::Engine::Naive,
-                                           index::Engine::Counting,
-                                           index::Engine::Trie,
-                                           index::Engine::ShardedCounting),
+                                           index::Engine::Counting),
                          [](const auto& info) {
-                           switch (info.param) {
-                             case index::Engine::Naive: return "Naive";
-                             case index::Engine::Counting: return "Counting";
-                             case index::Engine::Trie: return "Trie";
-                             default: return "ShardedCounting";
-                           }
+                           return info.param == index::Engine::Naive
+                                      ? "Naive"
+                                      : "Counting";
                          });
 
 TEST(Edges, EmptyOverlayRunsToQuiescence) {

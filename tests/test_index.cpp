@@ -1,5 +1,6 @@
-// Unit + oracle tests for matching engines: the counting index must agree
-// exactly with the naive Fig. 6 table on randomized workloads.
+// Unit + oracle tests for the matching tables: the counting index and the
+// sharded table must agree exactly with the naive Fig. 6 table on
+// randomized workloads.
 #include "cake/index/index.hpp"
 
 #include <gtest/gtest.h>
@@ -7,6 +8,8 @@
 #include "cake/index/sharded.hpp"
 
 #include <algorithm>
+#include <bit>
+#include <thread>
 
 #include "cake/event/event.hpp"
 #include "cake/util/rng.hpp"
@@ -26,11 +29,32 @@ using workload::CarAuction;
 using workload::Stock;
 using workload::VehicleAuction;
 
-class IndexTest : public ::testing::TestWithParam<Engine> {
+// Every table the system builds. One shard is the degenerate sharded
+// table: every event class collides in shard 0.
+struct Table {
+  const char* name;
+  std::unique_ptr<MatchIndex> (*make)();
+};
+void PrintTo(const Table& table, std::ostream* os) { *os << table.name; }
+
+const Table kTables[] = {
+    {"Naive", [] { return make_index(Engine::Naive); }},
+    {"Counting", [] { return make_index(Engine::Counting); }},
+    {"Sharded",
+     []() -> std::unique_ptr<MatchIndex> {
+       return std::make_unique<ShardedIndex>();
+     }},
+    {"ShardedOneShard",
+     []() -> std::unique_ptr<MatchIndex> {
+       return std::make_unique<ShardedIndex>(reflect::TypeRegistry::global(), 1);
+     }},
+};
+
+class IndexTest : public ::testing::TestWithParam<Table> {
 protected:
   void SetUp() override {
     workload::ensure_types_registered();
-    index_ = make_index(GetParam());
+    index_ = GetParam().make();
   }
 
   std::vector<FilterId> match(const EventImage& image) {
@@ -135,51 +159,33 @@ TEST_P(IndexTest, ManyFiltersSelectSubset) {
   EXPECT_EQ(matched, expected);
 }
 
-INSTANTIATE_TEST_SUITE_P(Engines, IndexTest,
-                         ::testing::Values(Engine::Naive, Engine::Counting,
-                                           Engine::Trie,
-                                           Engine::ShardedCounting),
+INSTANTIATE_TEST_SUITE_P(Engines, IndexTest, ::testing::ValuesIn(kTables),
                          [](const auto& info) {
-                           switch (info.param) {
-                             case Engine::Naive: return "Naive";
-                             case Engine::Counting: return "Counting";
-                             case Engine::Trie: return "Trie";
-                             default: return "ShardedCounting";
-                           }
+                           return std::string{info.param.name};
                          });
 
-TEST(TrieStructure, SharedPrefixesShareNodes) {
-  workload::ensure_types_registered();
-  TrieIndex trie{reflect::TypeRegistry::global()};
-  // 20 filters sharing (year, conference), unique authors.
-  for (int i = 0; i < 20; ++i) {
-    trie.add(FilterBuilder{"Publication"}
-                 .where("year", Op::Eq, Value{2002})
-                 .where("conference", Op::Eq, Value{"ICDCS"})
-                 .where("author", Op::Eq,
-                        Value{std::string{"a"}.append(std::to_string(i))})
-                 .build());
+TEST(ShardedIndexShape, ShardCountRoundsUpToAPowerOfTwo) {
+  const auto& registry = reflect::TypeRegistry::global();
+  EXPECT_EQ(ShardedIndex(registry, 1).shard_count(), 1u);
+  EXPECT_EQ(ShardedIndex(registry, 2).shard_count(), 2u);
+  EXPECT_EQ(ShardedIndex(registry, 3).shard_count(), 4u);
+  EXPECT_EQ(ShardedIndex(registry, 5).shard_count(), 8u);
+  EXPECT_EQ(ShardedIndex(registry, 64).shard_count(), 64u);
+  EXPECT_EQ(ShardedIndex(registry, 65).shard_count(), 128u);
+}
+
+TEST(ShardedIndexShape, AutoSizeFollowsTheCoresWithinFourToSixtyFour) {
+  const std::size_t count = ShardedIndex{}.shard_count();
+  EXPECT_TRUE(std::has_single_bit(count)) << count;
+  EXPECT_GE(count, 4u);
+  EXPECT_LE(count, 64u);
+  if (const unsigned cores = std::thread::hardware_concurrency(); cores != 0) {
+    EXPECT_EQ(count,
+              std::clamp<std::size_t>(std::bit_ceil<std::size_t>(cores), 4, 64));
   }
-  // root + year + conference + 20 author leaves = 23 nodes, not 20×3.
-  EXPECT_EQ(trie.node_count(), 23u);
 }
 
-TEST(TrieStructure, NonEqualityFiltersTerminateAtTheSharedPrefix) {
-  workload::ensure_types_registered();
-  TrieIndex trie{reflect::TypeRegistry::global()};
-  const FilterId id = trie.add(FilterBuilder{"Stock"}
-                                   .where("symbol", Op::Eq, Value{"Foo"})
-                                   .where("price", Op::Lt, Value{10.0})
-                                   .build());
-  EXPECT_EQ(trie.node_count(), 2u);  // root + (symbol, Foo)
-  std::vector<FilterId> out;
-  trie.match(event::image_of(Stock{"Foo", 5.0, 1}), out);
-  EXPECT_EQ(out, std::vector<FilterId>{id});
-  trie.match(event::image_of(Stock{"Foo", 15.0, 1}), out);
-  EXPECT_TRUE(out.empty());
-}
-
-// Oracle property: both engines agree on thousands of random
+// Oracle property: every table agrees on thousands of random
 // (filters, events) combinations across all workload domains.
 TEST(IndexOracle, CountingAgreesWithNaiveOnRandomWorkloads) {
   workload::ensure_types_registered();
@@ -190,8 +196,7 @@ TEST(IndexOracle, CountingAgreesWithNaiveOnRandomWorkloads) {
 
   NaiveTable naive{reflect::TypeRegistry::global()};
   CountingIndex counting{reflect::TypeRegistry::global()};
-  TrieIndex trie{reflect::TypeRegistry::global()};
-  ShardedIndex sharded{Engine::Counting, reflect::TypeRegistry::global(), 8};
+  ShardedIndex sharded{reflect::TypeRegistry::global(), 8};
 
   // A mixed filter population, including type-only and wildcard shapes.
   for (int i = 0; i < 150; ++i) {
@@ -209,25 +214,21 @@ TEST(IndexOracle, CountingAgreesWithNaiveOnRandomWorkloads) {
     }
     const FilterId a = naive.add(f);
     const FilterId b = counting.add(f);
-    const FilterId c = trie.add(f);
-    const FilterId d = sharded.add(f);
+    const FilterId c = sharded.add(f);
     ASSERT_EQ(a, b);
     ASSERT_EQ(a, c);
-    ASSERT_EQ(a, d);
     // Churn: occasionally remove a random earlier filter from all.
     if (rng.chance(0.15)) {
       const FilterId victim = rng.below(a + 1);
       naive.remove(victim);
       counting.remove(victim);
-      trie.remove(victim);
       sharded.remove(victim);
     }
   }
   ASSERT_EQ(naive.size(), counting.size());
-  ASSERT_EQ(naive.size(), trie.size());
   ASSERT_EQ(naive.size(), sharded.size());
 
-  std::vector<FilterId> out_naive, out_counting, out_trie, out_sharded;
+  std::vector<FilterId> out_naive, out_counting, out_sharded;
   for (int i = 0; i < 2000; ++i) {
     EventImage image;
     switch (rng.below(3)) {
@@ -237,14 +238,11 @@ TEST(IndexOracle, CountingAgreesWithNaiveOnRandomWorkloads) {
     }
     naive.match(image, out_naive);
     counting.match(image, out_counting);
-    trie.match(image, out_trie);
     sharded.match(image, out_sharded);
     std::sort(out_naive.begin(), out_naive.end());
     std::sort(out_counting.begin(), out_counting.end());
-    std::sort(out_trie.begin(), out_trie.end());
     std::sort(out_sharded.begin(), out_sharded.end());
     ASSERT_EQ(out_naive, out_counting) << "event " << image.to_string();
-    ASSERT_EQ(out_naive, out_trie) << "event " << image.to_string();
     ASSERT_EQ(out_naive, out_sharded) << "event " << image.to_string();
   }
 }

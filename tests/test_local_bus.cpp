@@ -20,9 +20,12 @@ using workload::CarAuction;
 using workload::Stock;
 using workload::VehicleAuction;
 
-class LocalBusTest : public ::testing::TestWithParam<index::Engine> {
+// Parameter: BusOptions::shards (0 = auto-sized; 1 = every class collides).
+class LocalBusTest : public ::testing::TestWithParam<std::size_t> {
 protected:
-  LocalBusTest() : bus_(GetParam()) { workload::ensure_types_registered(); }
+  LocalBusTest() : bus_(BusOptions{.shards = GetParam()}) {
+    workload::ensure_types_registered();
+  }
   LocalBus bus_;
 };
 
@@ -172,18 +175,14 @@ TEST_P(LocalBusTest, ConcurrentChurnDoesNotCrashOrLeakDeliveries) {
   EXPECT_LE(delivered.load(), published);
 }
 
-INSTANTIATE_TEST_SUITE_P(Engines, LocalBusTest,
-                         ::testing::Values(index::Engine::Naive,
-                                           index::Engine::Counting,
-                                           index::Engine::Trie,
-                                           index::Engine::ShardedCounting),
+INSTANTIATE_TEST_SUITE_P(Shards, LocalBusTest,
+                         ::testing::Values(std::size_t{0}, std::size_t{1},
+                                           std::size_t{2}, std::size_t{64}),
                          [](const auto& info) {
-                           switch (info.param) {
-                             case index::Engine::Naive: return "Naive";
-                             case index::Engine::Counting: return "Counting";
-                             case index::Engine::Trie: return "Trie";
-                             default: return "ShardedCounting";
-                           }
+                           return info.param == 0
+                                      ? std::string{"Auto"}
+                                      : std::string{"S"}.append(
+                                            std::to_string(info.param));
                          });
 
 }  // namespace

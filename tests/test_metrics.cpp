@@ -148,8 +148,7 @@ TEST(ShardMetrics, PerfectlyEvenTrafficScoresOne) {
 
 TEST(ShardMetrics, TableReportsLiveCounters) {
   workload::ensure_types_registered();
-  index::ShardedIndex sharded{index::Engine::Counting,
-                              reflect::TypeRegistry::global(), 4};
+  index::ShardedIndex sharded{reflect::TypeRegistry::global(), 4};
   sharded.add(filter::FilterBuilder{"Stock"}.build());
   std::vector<index::FilterId> out;
   for (int i = 0; i < 10; ++i)
