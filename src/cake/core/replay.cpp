@@ -35,16 +35,13 @@ event::EventImage tag(const event::EventImage& image, std::uint64_t uid) {
 std::uint64_t wseed_of(std::uint64_t seed) { return seed ^ 0xB1B10ULL; }
 
 /// Builds the replay overlay: best-effort links (nothing injects faults
-/// here) with the global event-id dedup on, so duplicate journal records
-/// collapse to exactly-once like any dual-path duplicate would.
+/// here); the subscribers' event-id dedup collapses duplicate journal
+/// records to exactly-once like any dual-path duplicate.
 routing::OverlayConfig overlay_config(const ReplayConfig& cfg,
-                                      std::uint64_t seed,
-                                      std::size_t dedup_floor) {
+                                      std::uint64_t seed) {
   routing::OverlayConfig oc;
   oc.stage_counts = cfg.stage_counts;
   oc.seed = seed ^ 0x0E11A5ULL;
-  oc.subscriber.dedup_events = true;
-  oc.subscriber.dedup_capacity = std::max<std::size_t>(1 << 16, dedup_floor);
   return oc;
 }
 
@@ -143,7 +140,7 @@ ReplayReport record_workload(const ReplayConfig& cfg, std::uint64_t seed,
   workload::ensure_types_registered();
   ReplayReport report;
 
-  routing::Overlay overlay{overlay_config(cfg, seed, cfg.events)};
+  routing::Overlay overlay{overlay_config(cfg, seed)};
   const reflect::TypeRegistry& registry = overlay.registry();
   routing::PublisherNode& publisher = overlay.add_publisher();
   publisher.advertise(workload::BiblioGenerator::schema());
@@ -196,7 +193,7 @@ ReplayReport replay_workload(const ReplayConfig& cfg, std::uint64_t seed,
   workload::ensure_types_registered();
   ReplayReport report;
 
-  routing::Overlay overlay{overlay_config(cfg, seed, journal.size())};
+  routing::Overlay overlay{overlay_config(cfg, seed)};
   const reflect::TypeRegistry& registry = overlay.registry();
   // The publisher exists only to advertise the schema and donate its node
   // id as the injection source — ids then line up with the recording run.

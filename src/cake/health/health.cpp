@@ -80,7 +80,7 @@ void validate_dedup_capacity(std::size_t dedup_capacity,
                              std::size_t link_window) {
   if (dedup_capacity < link_window)
     throw std::invalid_argument{
-        "config: dedup_capacity=" + std::to_string(dedup_capacity) +
+        "config: dedup window=" + std::to_string(dedup_capacity) +
         " is smaller than the link window=" + std::to_string(link_window) +
         "; the event-id ring must cover at least one in-flight window or "
         "retransmitted/replayed copies escape the exactly-once dedup"};

@@ -14,7 +14,7 @@
 //     (grace pen, slow-child pens, detached-durable buffers, stall inbox);
 //   * startup validation for documented invariants that were previously
 //     only prose: `rto_max` ≪ lease TTL, `heartbeat_misses ≥ 2`, the
-//     dedup-capacity sizing rule, and watermark ordering.
+//     dedup window covering the link window, and watermark ordering.
 //
 // The one rule every layer enforces structurally rather than by policy:
 // control traffic (Subscribe/Renew/Ack/Heartbeat) is never shed and never
@@ -112,12 +112,12 @@ void validate_rto_vs_ttl(std::uint64_t rto_max, std::uint64_t ttl);
 /// on every idle link.
 void validate_heartbeat_misses(std::uint32_t heartbeat_misses);
 
-/// The subscriber event-id dedup ring must cover every copy a fault window
-/// can re-serve: it has to hold at least the reliable link's in-flight
-/// window (retransmits of the same session) or the journal replay cannot be
-/// collapsed to exactly-once. Enforced rule: dedup_capacity >= link window.
-/// A zero dedup_capacity (dedup disabled) is only valid on best-effort
-/// links, which the caller gates.
+/// The subscriber event-id dedup window must cover every copy a fault
+/// window can re-serve: it has to span at least the reliable link's
+/// in-flight window (retransmits of the same session) or the journal replay
+/// cannot be collapsed to exactly-once. Enforced rule: dedup_capacity >=
+/// link window. The caller gates it to reliable links, the only ones with a
+/// window.
 void validate_dedup_capacity(std::size_t dedup_capacity,
                              std::size_t link_window);
 

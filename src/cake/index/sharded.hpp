@@ -39,7 +39,7 @@
 
 namespace cake::index {
 
-/// One shard's observability counters (metrics::shard_table renders them).
+/// One shard's observability counters (metrics::shard_imbalance scores them).
 struct ShardStats {
   std::size_t shard = 0;
   std::uint64_t matches = 0;  ///< match() calls routed here

@@ -30,8 +30,8 @@
 // sessions, which this dedup cannot pair with the pre-crash copies. That is
 // by design — link dedup only collapses retransmissions within one stream
 // session; cross-crash duplicates are collapsed one layer up by the
-// subscriber-side event-id dedup (SubscriberConfig::dedup_events). Keep
-// that layering in mind before "fixing" either side.
+// subscriber-side event-id dedup (SubscriberNode's per-publisher sequence
+// windows). Keep that layering in mind before "fixing" either side.
 #pragma once
 
 #include <cstdint>

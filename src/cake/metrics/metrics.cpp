@@ -266,17 +266,4 @@ util::TextTable aggregation_table(
   return table;
 }
 
-util::TextTable shard_table(const std::vector<index::ShardStats>& shards) {
-  util::TextTable table{{"Shard", "Matches", "Hit rate", "Filters"}};
-  for (const index::ShardStats& s : shards) {
-    const double hit_rate =
-        s.matches == 0 ? 0.0
-                       : static_cast<double>(s.hits) /
-                             static_cast<double>(s.matches);
-    table.add_row({std::to_string(s.shard), std::to_string(s.matches),
-                   util::format_number(hit_rate), std::to_string(s.filters)});
-  }
-  return table;
-}
-
 }  // namespace cake::metrics

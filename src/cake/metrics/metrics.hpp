@@ -95,10 +95,6 @@ struct StageSummary {
 /// traffic. Feed it LocalBus::shard_stats() or ShardedIndex::shard_stats().
 [[nodiscard]] double shard_imbalance(const std::vector<index::ShardStats>& shards);
 
-/// Renders per-shard match counters: shard id, match calls, hit rate and
-/// live filters — the contention observability for ShardedIndex.
-[[nodiscard]] util::TextTable shard_table(const std::vector<index::ShardStats>& shards);
-
 /// Per-broker aggregation counters of an overlay (broker order; all-zero
 /// rows when aggregation is off). Feed it to `aggregation_table`.
 [[nodiscard]] std::vector<index::AggregateStats> broker_aggregation(

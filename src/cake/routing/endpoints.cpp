@@ -21,8 +21,7 @@ SubscriberNode::SubscriberNode(sim::NodeId id, sim::NodeId root,
       // Seeded from the node id alone; see the Broker constructor note.
       link_(id, network, transport, config.link,
             (static_cast<std::uint64_t>(id) + 1) * 0x9e3779b97f4a7c15ULL),
-      renew_(transport, config.renew_interval, [this] { renew_task(); }),
-      seen_events_(config.dedup_capacity) {}
+      renew_(transport, config.renew_interval, [this] { renew_task(); }) {}
 
 void SubscriberNode::start() {
   attach_to_network();
@@ -117,7 +116,6 @@ std::vector<std::uint64_t> SubscriberNode::subscribe_any(
     const std::uint64_t token = next_token_++;
     subs_.push_back(
         Sub{token, disjunct, handler, local, durable, group, std::nullopt, {}});
-    group_seen_.try_emplace(group, config_.dedup_capacity);
     send(root_, Subscribe{std::move(disjunct), id_, token, durable});
     tokens.push_back(token);
   }
@@ -181,11 +179,6 @@ void SubscriberNode::unsubscribe(std::uint64_t token) {
   if (sub == nullptr) return;
   const Sub gone = std::move(*sub);
   subs_.erase(subs_.begin() + (sub - subs_.data()));
-  // A composite's dedup memory goes with its last member.
-  if (gone.group != 0 &&
-      std::none_of(subs_.begin(), subs_.end(),
-                   [&](const Sub& s) { return s.group == gone.group; }))
-    group_seen_.erase(gone.group);
   // The hosting broker keeps one lease per (child, stored form), shared by
   // every subscription of ours it stored under that form: withdraw it only
   // with the last of them, or a sibling silently loses its route.
@@ -196,12 +189,6 @@ void SubscriberNode::unsubscribe(std::uint64_t token) {
   if (gone.parent.has_value() && !shared)
     send(*gone.parent, Unsub{gone.stored_at_parent, id_});
   sync_watches();
-}
-
-std::size_t SubscriberNode::composite_seen() const noexcept {
-  std::size_t total = 0;
-  for (const auto& [group, seen] : group_seen_) total += seen.size();
-  return total;
 }
 
 std::optional<sim::NodeId> SubscriberNode::accepted_at(std::uint64_t token) const {
@@ -271,21 +258,13 @@ void SubscriberNode::on_packet(sim::NodeId from,
     Sub* const sub = find_sub(accepted->token);
     if (sub == nullptr) return;
     // A retried join can be accepted twice (the first AcceptedAt or JoinAt
-    // was lost in transit, the retry raced it): keep the newest home and
-    // retract the older lease so events are not delivered twice. With the
-    // global event dedup on, the eager retraction is skipped entirely: the
-    // dedup gate already makes dual paths exactly-once, while an Unsub
-    // racing an in-flight event at the old home's ancestors can remove the
-    // only lease that would have routed it — a lost event, not a duplicate.
-    // Superseded leases decay by TTL once renewals stop. (Same reasoning
-    // for a home declared dead: if it revives, its stale lease just
-    // expires.)
-    if (sub->parent.has_value() &&
-        (*sub->parent != accepted->node ||
-         sub->stored_at_parent != accepted->stored) &&
-        !config_.dedup_events && dead_hosts_.count(*sub->parent) == 0) {
-      send(*sub->parent, Unsub{sub->stored_at_parent, id_});
-    }
+    // was lost in transit, the retry raced it): keep the newest home. The
+    // older lease is not retracted: event-id dedup already makes the dual
+    // path exactly-once, while an Unsub racing an in-flight event at the old
+    // home's ancestors can remove the only lease that would have routed it —
+    // a lost event, not a duplicate. Superseded leases decay by TTL once
+    // renewals stop. (Same for a home declared dead: if it revives, its
+    // stale lease just expires.)
     sub->parent = accepted->node;
     sub->stored_at_parent = std::move(accepted->stored);
     // The accepting broker has served any requested replay; clear it so
@@ -310,23 +289,61 @@ void SubscriberNode::on_packet(sim::NodeId from,
   }
 }
 
+bool SubscriberNode::first_copy(std::uint64_t event_id) {
+  constexpr std::uint32_t kMask = kDedupWindow - 1;
+  const auto publisher = static_cast<std::uint32_t>(event_id >> 32);
+  const auto seq = static_cast<std::uint32_t>(event_id);
+  auto window = std::find_if(
+      windows_.begin(), windows_.end(),
+      [publisher](const SeqWindow& w) { return w.publisher == publisher; });
+  if (window == windows_.end()) {
+    windows_.push_back({publisher, seq,
+                        std::vector<std::uint64_t>(kDedupWindow / 64)});
+    window = windows_.end() - 1;
+  } else if (seq > window->high) {
+    // Advance the high-water mark; the bits of every skipped seq now stand
+    // for seqs a full window newer, so clear them, a word at a time.
+    std::uint32_t from = window->high + 1;
+    std::uint32_t left = std::min(seq - window->high, kDedupWindow);
+    while (left > 0) {
+      const std::uint32_t bit = from & 63;
+      const std::uint32_t take = std::min(64 - bit, left);
+      const std::uint64_t span =
+          take == 64 ? ~std::uint64_t{0} : ((std::uint64_t{1} << take) - 1);
+      window->seen[(from & kMask) >> 6] &= ~(span << bit);
+      from += take;
+      left -= take;
+    }
+    window->high = seq;
+  } else if (window->high - seq >= kDedupWindow) {
+    ++stats_.events_stale;
+    return false;
+  }
+  std::uint64_t& word = window->seen[(seq & kMask) >> 6];
+  const std::uint64_t bit = std::uint64_t{1} << (seq & 63);
+  if ((word & bit) != 0) return false;
+  word |= bit;
+  return true;
+}
+
 void SubscriberNode::deliver_event(sim::NodeId from, const EventMsg& ev) {
   ++stats_.events_received;
-  if (config_.dedup_events) {
-    // Global exactly-once gate: the link layer already dedups per stream,
-    // but a re-parent can briefly leave two paths carrying the same event.
-    if (!seen_events_.insert(ev.event_id)) return;
-  }
+  // Exactly-once gate: the link layer already dedups per stream, but
+  // sibling subscriptions hosted apart, a re-parent or a journal replay can
+  // leave two paths carrying the same event.
+  if (!first_copy(ev.event_id)) return;
   bool delivered = false;
+  // A composite's members hold consecutive tokens, so they sit together in
+  // subs_: remembering the last group that fired keeps its handler to one
+  // call per event, however many disjuncts match.
+  std::uint64_t fired_group = 0;
   for (const Sub& sub : subs_) {
     if (!sub.exact.matches(ev.image, registry_)) continue;
     if (sub.local && !sub.local(ev.image)) continue;
     delivered = true;
     if (sub.group != 0) {
-      // Composite subscription: fire at most once per published event,
-      // whether the disjuncts matched in one packet or the event arrived
-      // again over another disjunct's path.
-      if (!group_seen_.at(sub.group).insert(ev.event_id)) continue;
+      if (sub.group == fired_group) continue;
+      fired_group = sub.group;
     }
     if (sub.handler) sub.handler(ev.image);
   }

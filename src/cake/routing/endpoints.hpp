@@ -12,7 +12,6 @@
 #include <deque>
 #include <functional>
 #include <optional>
-#include <unordered_map>
 #include <unordered_set>
 #include <vector>
 
@@ -36,7 +35,14 @@ struct SubscriberStats {
   std::uint64_t malformed_packets = 0; ///< corrupt frames dropped
   std::uint64_t events_stalled = 0;    ///< events parked in the stall inbox
   std::uint64_t stall_inbox_dropped = 0;  ///< oldest parked evicted, inbox full
+  std::uint64_t events_stale = 0;  ///< copies behind the dedup window, dropped
 };
+
+/// Sequence numbers each subscriber's event-id dedup remembers per
+/// publisher. An event id is `(publisher << 32) | seq`; a copy whose seq
+/// trails that publisher's highest seen seq by this much or more is
+/// dropped as stale rather than risk a second delivery.
+inline constexpr std::uint32_t kDedupWindow = 1u << 16;
 
 struct SubscriberConfig {
   sim::Time renew_interval = 5'000'000;
@@ -50,17 +56,6 @@ struct SubscriberConfig {
   /// Link-layer options; Reliable also makes the subscriber heartbeat-watch
   /// its hosting brokers and re-join through the root when one dies.
   link::LinkOptions link;
-  /// Suppress events whose event id was already handled, across *all*
-  /// subscriptions (bounded seen-set). Composite groups always dedup;
-  /// this extends it to transient dual-path duplicates during re-parenting,
-  /// which is what makes reliable-mode delivery exactly-once.
-  bool dedup_events = false;
-  /// Seen-set bound (FIFO eviction). Exactly-once only holds for a
-  /// duplicate arriving within this many events of the original: size it
-  /// above the maximum dual-path backlog the deployment can accumulate
-  /// (longest partition × event rate, plus the retransmission queue), or
-  /// a late duplicate outlives the entry and is re-delivered.
-  std::size_t dedup_capacity = 1 << 16;
   /// Attribute merge-induced spurious arrivals (broker aggregation,
   /// DESIGN.md §13): when a spurious event matches *no* hosted weakened
   /// form — the forward was caused by a merged table entry upstream, not
@@ -173,8 +168,6 @@ public:
   /// Node the subscription was accepted at, if the handshake completed.
   [[nodiscard]] std::optional<sim::NodeId> accepted_at(std::uint64_t token) const;
   [[nodiscard]] std::size_t subscriptions() const noexcept { return subs_.size(); }
-  /// Event ids remembered across every composite group's dedup memory.
-  [[nodiscard]] std::size_t composite_seen() const noexcept;
 
   /// One row per live subscription, for the chaos oracle's table-fixpoint
   /// check: it cross-references (parent, stored) against broker tables.
@@ -208,6 +201,10 @@ private:
   [[nodiscard]] std::vector<sim::NodeId> hosting_nodes() const;
 
   void on_packet(sim::NodeId from, const sim::Network::Payload& payload);
+  /// Event-id dedup: true for the first copy of `event_id`. A repeat inside
+  /// its publisher's window is false; so is a copy older than the window,
+  /// which is also counted in `events_stale`.
+  bool first_copy(std::uint64_t event_id);
   /// Runs the exact filters, local predicates and handlers over one event
   /// (`decode_event_once`'s memo, shared with every other receiver).
   void deliver_event(sim::NodeId from, const EventMsg& ev);
@@ -243,32 +240,16 @@ private:
   // arrival.
   std::vector<Sub> subs_;
   runtime::PeriodicTask renew_;
-  /// The most recent `capacity` distinct event ids, FIFO eviction.
-  class RecentIds {
-  public:
-    explicit RecentIds(std::size_t capacity) : capacity_(capacity) {}
-    /// True when `id` was not remembered (it is now).
-    bool insert(std::uint64_t id) {
-      if (!ids_.insert(id).second) return false;
-      order_.push_back(id);
-      if (order_.size() > capacity_) {
-        ids_.erase(order_.front());
-        order_.pop_front();
-      }
-      return true;
-    }
-    [[nodiscard]] std::size_t size() const noexcept { return order_.size(); }
-
-  private:
-    std::size_t capacity_;
-    std::unordered_set<std::uint64_t> ids_;
-    std::deque<std::uint64_t> order_;
+  // One publisher's dedup window: its highest seq seen, and a ring of
+  // kDedupWindow bits indexed by seq mod kDedupWindow covering the seqs
+  // (high - kDedupWindow, high].
+  struct SeqWindow {
+    std::uint32_t publisher = 0;
+    std::uint32_t high = 0;
+    std::vector<std::uint64_t> seen;
   };
-  // Bounded global event-id dedup (config_.dedup_events).
-  RecentIds seen_events_;
-  // Event ids already handled per composite group (multi-path dedup),
-  // bounded like the global set; dropped with the group's last member.
-  std::unordered_map<std::uint64_t, RecentIds> group_seen_;
+  // One window per publisher heard from, in first-heard order.
+  std::vector<SeqWindow> windows_;
   std::uint64_t next_token_ = 1;
   std::uint64_t next_group_ = 1;
   bool detached_ = false;

@@ -36,20 +36,17 @@ Overlay::Overlay(OverlayConfig config, const reflect::TypeRegistry& registry)
   // frames at a best-effort peer would retransmit into the void forever.
   config_.broker.link = config_.link;
   config_.subscriber.link = config_.link;
-  if (config_.link.reliability == link::Reliability::Reliable)
-    config_.subscriber.dedup_events = true;
 
   // Fail fast on configurations the docs only used to warn about
   // (DESIGN.md §15): each check throws std::invalid_argument naming the
   // offending values and the rule. The reliable-only checks guard machinery
   // best-effort links never run (retransmit cadence vs. lease TTL, the
-  // failure detector, event-id dedup sizing).
+  // failure detector, the dedup window against the link window).
   if (config_.validate) {
     if (config_.link.reliability == link::Reliability::Reliable) {
       health::validate_rto_vs_ttl(config_.link.rto_max, config_.broker.ttl);
       health::validate_heartbeat_misses(config_.link.heartbeat_misses);
-      health::validate_dedup_capacity(config_.subscriber.dedup_capacity,
-                                      config_.link.window);
+      health::validate_dedup_capacity(kDedupWindow, config_.link.window);
     }
     if (config_.broker.quarantine)
       config_.broker.child_queue.validate("broker child queue");

@@ -47,8 +47,8 @@ struct OverlayConfig {
   sim::Time link_latency = 1000;  // 1 virtual ms per hop
   std::uint64_t seed = 42;
   /// Link layer for every node in the overlay (brokers, subscribers,
-  /// publishers). Reliable also turns on subscriber-side global event-id
-  /// dedup — the exactly-once guarantee needs both halves.
+  /// publishers). Reliable links close losses; the subscribers' event-id
+  /// dedup closes duplicates — the exactly-once guarantee needs both halves.
   link::LinkOptions link;
   /// Per-event tracing (trace/trace.hpp). Disabled by default: no Tracer is
   /// even constructed, and every node keeps a null tracer pointer.
@@ -69,7 +69,7 @@ struct OverlayConfig {
   runtime::ThreadedOptions threaded{};
   /// Startup validation of the documented soft-state invariants
   /// (health::validate_*): rto_max ≪ lease TTL, heartbeat_misses ≥ 2, the
-  /// dedup-capacity sizing rule, and watermark ordering wherever watermarks
+  /// dedup window covering the link window, and watermark ordering wherever watermarks
   /// are enabled. Throws std::invalid_argument with an actionable message
   /// naming the offending values. Opt out only for harnesses that
   /// deliberately push timers past the run's lifetime (the backend

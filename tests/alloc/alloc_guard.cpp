@@ -274,7 +274,9 @@ TEST(AllocGuard, FreshEventFramePerEventRecyclesBuffersAndHolders) {
 // SubscriberNode whose exact filter and handler run on every event, with a
 // title longer than the SSO buffer. The broker's decode is the only one
 // (into the recycled holder's memo, reusing its capacity); the subscriber
-// reads that memo. Steady-state delivery allocates nothing.
+// reads that memo. Event ids interleave two publishers and every event
+// arrives twice, so the event-id dedup judges each copy against its
+// publisher's window. Steady-state delivery allocates nothing.
 TEST(AllocGuard, SubscriberEdgeDeliveryIsAllocationFree) {
   workload::ensure_types_registered();
   const auto& registry = reflect::TypeRegistry::global();
@@ -308,23 +310,29 @@ TEST(AllocGuard, SubscriberEdgeDeliveryIsAllocationFree) {
   const event::EventImage image = long_title_image();
   const std::size_t title_size = image.find("title")->as_string().size();
   ASSERT_GT(title_size, std::string{}.capacity());  // past the SSO buffer
-  std::uint64_t event_id = 0;
+  // Event n comes from publisher 7 or 9 in turn; each publisher's seqs
+  // count up on their own.
+  std::uint64_t n = 0;
+  const auto publish_twice = [&] {
+    const std::uint64_t event_id =
+        ((7 + 2 * (n % 2)) << 32) | (n / 2 + 1);
+    ++n;
+    for (int copy = 0; copy < 2; ++copy) {
+      network.send(0, 1, routing::encode_event_frame(image, 0, event_id, 0));
+      scheduler.run();
+    }
+  };
 
-  for (int i = 0; i < 64; ++i) {
-    network.send(0, 1, routing::encode_event_frame(image, 0, ++event_id, 0));
-    scheduler.run();
-  }
+  for (int i = 0; i < 64; ++i) publish_twice();
   ASSERT_EQ(handled, 64u);
 
   constexpr std::uint64_t kEvents = 512;
   const std::uint64_t before = news();
-  for (std::uint64_t i = 0; i < kEvents; ++i) {
-    network.send(0, 1, routing::encode_event_frame(image, 0, ++event_id, 0));
-    scheduler.run();
-  }
+  for (std::uint64_t i = 0; i < kEvents; ++i) publish_twice();
   EXPECT_EQ(news() - before, 0u)
       << "steady-state subscriber-edge delivery allocated on the heap";
   EXPECT_EQ(handled, 64u + kEvents);
+  EXPECT_EQ(subscriber.stats().events_received, 2 * (64u + kEvents));
   EXPECT_EQ(subscriber.stats().events_delivered, 64u + kEvents);
   EXPECT_EQ(title_bytes, (64u + kEvents) * title_size);
 }

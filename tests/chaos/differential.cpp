@@ -193,11 +193,6 @@ TrialResult run_trial(const HarnessConfig& cfg, const sim::FaultPlan& plan) {
     // renewals that route them: a zero-match event waits out a few renew
     // cycles in the grace pen before the broker gives up on it.
     oc.broker.match_grace = 3 * cfg.renew_interval;
-    // The exactly-once oracle leans on subscriber event-id dedup for
-    // dual-path duplicates; with the seen-set at least as large as the
-    // whole workload, FIFO eviction can never re-admit a late duplicate.
-    oc.subscriber.dedup_capacity = std::max<std::size_t>(
-        cfg.warm_events + chaos_events + cfg.probe_events, oc.link.window);
   }
   if (cfg.overload) {
     oc.link.credit = true;
@@ -360,7 +355,8 @@ TrialResult run_trial(const HarnessConfig& cfg, const sim::FaultPlan& plan) {
   overlay.run();
   result.converged_at = sch.now();
 
-  // (b) duplicates bounded, and only for events published under live faults.
+  // (b) at most once, in every mode and every phase: the subscribers'
+  // event-id dedup collapses every dual path a fault can open.
   for (const auto& [uid, per_sub] : book.counts) {
     for (const auto& [key, copies] : per_sub) {
       const auto& expect = book.expected.at(uid);
@@ -371,16 +367,10 @@ TrialResult run_trial(const HarnessConfig& cfg, const sim::FaultPlan& plan) {
         return fail(err.str());
       }
       result.duplicate_peak = std::max(result.duplicate_peak, copies);
-      if (copies > 1 && book.phase_of.at(uid) != Phase::Chaos) {
+      if (copies > 1) {
         std::ostringstream err;
-        err << "duplicate outside fault window: event " << uid << " delivered "
-            << copies << "x to subscription " << key;
-        return fail(err.str());
-      }
-      if (copies > cfg.max_duplicates) {
-        std::ostringstream err;
-        err << "duplicate bound exceeded: event " << uid << " delivered "
-            << copies << "x to subscription " << key;
+        err << "duplicate: event " << uid << " delivered " << copies
+            << "x to subscription " << key;
         return fail(err.str());
       }
     }

@@ -11,8 +11,9 @@
 //   (a) completeness: probe events published after convergence reach every
 //       matching subscriber exactly once (no false negatives, no stale
 //       duplicate leases);
-//   (b) duplicates are bounded and occur only for events published while
-//       faults were live;
+//   (b) at most once: no event reaches a subscription twice, in any phase
+//       and any mode (the subscribers' event-id dedup collapses every
+//       second path a fault opens);
 //   (c) broker tables are reaped back to the fault-free fixpoint — every
 //       lease corresponds to a live subscription or a child broker's
 //       active upward form, and vice versa;
@@ -55,9 +56,6 @@ struct HarnessConfig {
   /// Fault-schedule shape (plan_for fills in node ids and packet types).
   sim::Time horizon = 8'000'000;
   std::size_t fault_ops = 6;
-
-  /// Ceiling on copies of one event at one subscriber during fault windows.
-  std::uint64_t max_duplicates = 64;
 
   /// Signed µs adjustment to the convergence window (default window:
   /// heal + 3×TTL + 2×reap + 6×renew). The curve experiment bisects this

@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <map>
+#include <set>
 
 #include "cake/routing/broker.hpp"
 #include "cake/routing/overlay.hpp"
@@ -539,6 +540,198 @@ TEST(DecodeEventOnce, SubscribersOfOneFrameReadTheBrokersDecode) {
   ASSERT_EQ(seen.size(), 2u);
   EXPECT_EQ(seen[0], &decode_event_once(frame).image);
   EXPECT_EQ(seen[1], seen[0]);
+}
+
+
+// ---- event-id dedup ------------------------------------------------------------
+
+// Defect (c): two subscriptions of one subscriber that weaken to the same
+// stored form join at the same instant, so neither join's covering search
+// sees the other and they land at two different stage-1 brokers. Both
+// brokers then forward every event the shared form matches, and the
+// subscriber's event-id dedup must keep each handler to one call per event.
+TEST(EventDedup, SiblingsHostedAtTwoBrokersFireOncePerEvent) {
+  workload::ensure_types_registered();
+  OverlayConfig config;
+  config.stage_counts = {1, 2, 4};
+  config.seed = 3;
+  Overlay overlay{config};
+  auto& publisher = overlay.add_publisher();
+  publisher.advertise(workload::BiblioGenerator::schema());
+  overlay.run();
+
+  auto& sub = overlay.add_subscriber();
+  const auto titled = [](const char* title) {
+    return FilterBuilder{"Publication"}
+        .where("year", Op::Eq, Value{2002})
+        .where("conference", Op::Eq, Value{"ICDCS"})
+        .where("author", Op::Eq, Value{"Eugster"})
+        .where("title", Op::Eq, Value{title})
+        .build();
+  };
+  int cake = 0, other = 0;
+  const auto cake_token =
+      sub.subscribe(titled("Cake"), [&](const EventImage&) { ++cake; });
+  const auto other_token =
+      sub.subscribe(titled("Other"), [&](const EventImage&) { ++other; });
+  overlay.run();
+  ASSERT_TRUE(sub.accepted_at(cake_token).has_value());
+  ASSERT_TRUE(sub.accepted_at(other_token).has_value());
+  ASSERT_NE(sub.accepted_at(cake_token), sub.accepted_at(other_token));
+  const auto views = sub.subscription_views();
+  ASSERT_EQ(views.size(), 2u);
+  ASSERT_EQ(views[0].stored, views[1].stored);
+
+  const auto publish = [&](const char* title) {
+    publisher.publish(EventImage{"Publication",
+                                 {{"year", Value{2002}},
+                                  {"conference", Value{"ICDCS"}},
+                                  {"author", Value{"Eugster"}},
+                                  {"title", Value{title}}}});
+  };
+  for (int i = 0; i < 3; ++i) {
+    publish("Cake");
+    publish("Other");
+  }
+  overlay.run();
+  EXPECT_EQ(cake, 3);
+  EXPECT_EQ(other, 3);
+  EXPECT_EQ(sub.stats().events_received, 12u);  // each event over two paths
+  EXPECT_EQ(sub.stats().events_delivered, 6u);
+  EXPECT_EQ(sub.stats().events_stale, 0u);
+}
+
+// A lone subscriber fed event frames straight off the network, so a test
+// picks every event id and the order copies arrive in.
+struct DedupFx {
+  DedupFx() {
+    workload::ensure_types_registered();
+    SubscriberConfig config;
+    config.auto_renew = false;
+    sub = std::make_unique<SubscriberNode>(
+        2, 1, network, transport, reflect::TypeRegistry::global(), config);
+    sub->start();
+    sub->subscribe(FilterBuilder{"Publication"}.build(),
+                   [this](const EventImage&) { ++handled; });
+    scheduler.run();
+  }
+
+  /// Sends one copy of `publisher`'s event `seq`; true when it was handled.
+  bool deliver(std::uint64_t publisher, std::uint32_t seq) {
+    const std::uint64_t before = handled;
+    network.send(1, 2,
+                 encode_event_frame(image, 0, (publisher << 32) | seq, 0));
+    scheduler.run();
+    return handled > before;
+  }
+
+  sim::Scheduler scheduler;
+  runtime::SimTransport transport{scheduler};
+  sim::Network network{scheduler, 10};
+  std::unique_ptr<SubscriberNode> sub;
+  EventImage image{"Publication", {{"year", Value{2002}}}};
+  std::uint64_t handled = 0;
+};
+
+TEST(DedupWindow, FirstCopiesInAnyOrderDeliverRepeatsDoNot) {
+  DedupFx fx;
+  EXPECT_TRUE(fx.deliver(1, 10));
+  EXPECT_TRUE(fx.deliver(1, 12));
+  EXPECT_TRUE(fx.deliver(1, 11));  // reordered, inside the window
+  EXPECT_TRUE(fx.deliver(1, 3));   // older than the first heard, still inside
+  EXPECT_FALSE(fx.deliver(1, 11));
+  EXPECT_FALSE(fx.deliver(1, 12));
+  EXPECT_FALSE(fx.deliver(1, 10));
+  EXPECT_FALSE(fx.deliver(1, 3));
+  EXPECT_EQ(fx.handled, 4u);
+  EXPECT_EQ(fx.sub->stats().events_received, 8u);
+  EXPECT_EQ(fx.sub->stats().events_delivered, 4u);
+  EXPECT_EQ(fx.sub->stats().events_stale, 0u);
+}
+
+TEST(DedupWindow, CopyOlderThanTheWindowIsDroppedAndCounted) {
+  DedupFx fx;
+  EXPECT_TRUE(fx.deliver(1, 100));
+  EXPECT_TRUE(fx.deliver(1, 100 + kDedupWindow));
+  // 100 now trails the high-water mark by a full window: it is stale, even
+  // though this copy is a repeat the ring can no longer vouch for.
+  EXPECT_FALSE(fx.deliver(1, 100));
+  EXPECT_EQ(fx.sub->stats().events_stale, 1u);
+  // One seq newer is the oldest the window still covers: a first copy.
+  EXPECT_TRUE(fx.deliver(1, 101));
+  EXPECT_FALSE(fx.deliver(1, 101));
+  EXPECT_EQ(fx.sub->stats().events_stale, 1u);
+  EXPECT_EQ(fx.handled, 3u);
+}
+
+TEST(DedupWindow, JumpOfAWindowOrMoreForgetsTheOverwrittenSeqs) {
+  DedupFx fx;
+  for (std::uint32_t seq = 1; seq <= 200; ++seq) ASSERT_TRUE(fx.deliver(1, seq));
+  // Exactly one window ahead: seq k + kDedupWindow reuses the ring bit seq
+  // k set, so each one below the new high-water mark must read unseen.
+  ASSERT_TRUE(fx.deliver(1, 200 + kDedupWindow));
+  for (std::uint32_t seq = 1; seq < 200; seq += 7)
+    EXPECT_TRUE(fx.deliver(1, seq + kDedupWindow)) << seq;
+  EXPECT_FALSE(fx.deliver(1, 200));  // now stale
+  // More than a window ahead clears every bit at once, the ones the seqs
+  // just above set included.
+  ASSERT_TRUE(fx.deliver(1, 3 * kDedupWindow + 300));
+  for (std::uint32_t seq = 1; seq < 200; seq += 7)
+    EXPECT_TRUE(fx.deliver(1, seq + 3 * kDedupWindow)) << seq;
+  EXPECT_EQ(fx.sub->stats().events_stale, 1u);
+}
+
+TEST(DedupWindow, PublishersKeepIndependentWindows) {
+  DedupFx fx;
+  EXPECT_TRUE(fx.deliver(1, 5));
+  EXPECT_TRUE(fx.deliver(2, 5));  // same seq, another publisher
+  EXPECT_TRUE(fx.deliver(2, 5 + 2 * kDedupWindow));
+  // Publisher 2's jump leaves publisher 1's window where it was.
+  EXPECT_TRUE(fx.deliver(1, 6));
+  EXPECT_FALSE(fx.deliver(1, 5));
+  EXPECT_EQ(fx.sub->stats().events_stale, 0u);
+  EXPECT_FALSE(fx.deliver(2, 5));  // stale for publisher 2 only
+  EXPECT_EQ(fx.sub->stats().events_stale, 1u);
+  EXPECT_EQ(fx.handled, 4u);
+}
+
+// Differential check against a model that remembers every seq it
+// delivered: seqs wander around the high-water mark by up to a window and
+// a half, advance in strides that cross ring words and wrap the ring, and
+// repeat often. The window must agree with the model on every copy.
+TEST(DedupWindow, AgreesWithAnUnboundedModel) {
+  DedupFx fx;
+  util::Rng rng{2002};
+  std::set<std::uint32_t> delivered;
+  std::uint32_t high = 0;
+  std::uint64_t stale = 0;
+  for (int i = 0; i < 4000; ++i) {
+    std::int64_t seq = static_cast<std::int64_t>(high);
+    const std::uint64_t pick = rng.below(10);
+    if (pick < 4) {
+      seq += rng.between(1, 3 * 64);
+    } else if (pick < 5) {
+      seq += rng.between(kDedupWindow / 2, 2 * kDedupWindow);
+    } else {
+      seq -= rng.between(0, kDedupWindow + kDedupWindow / 2);
+    }
+    if (seq < 0) seq = rng.between(0, high);
+    const auto s = static_cast<std::uint32_t>(seq);
+    bool expect = false;
+    if (delivered.empty() || s > high) {
+      expect = true;
+      high = s;
+    } else if (high - s >= kDedupWindow) {
+      ++stale;
+    } else {
+      expect = delivered.count(s) == 0;
+    }
+    if (expect) delivered.insert(s);
+    ASSERT_EQ(fx.deliver(7, s), expect) << "copy " << i << ", seq " << s;
+  }
+  EXPECT_EQ(fx.sub->stats().events_stale, stale);
+  EXPECT_GT(stale, 0u);
+  EXPECT_EQ(fx.handled, delivered.size());
 }
 
 }  // namespace

@@ -363,7 +363,6 @@ TEST(JournalGolden, CrashRestartInsideOnePenTickKeepsOnePenChain) {
 TEST(JournalGolden, DurableCursorSurvivesBrokerCrashAndRestart) {
   OverlayConfig config = durable_config();
   config.link.reliability = link::Reliability::Reliable;
-  config.subscriber.dedup_events = true;  // replay + pen paths collapse
   DurableFx fx{config};
   auto& sub = fx.overlay.add_subscriber();
   std::vector<std::string> seen;

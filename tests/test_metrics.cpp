@@ -146,7 +146,7 @@ TEST(ShardMetrics, PerfectlyEvenTrafficScoresOne) {
   EXPECT_DOUBLE_EQ(shard_imbalance(shards), 1.0);
 }
 
-TEST(ShardMetrics, TableReportsLiveCounters) {
+TEST(ShardMetrics, ImbalanceReadsLiveShardCounters) {
   workload::ensure_types_registered();
   index::ShardedIndex sharded{reflect::TypeRegistry::global(), 4};
   sharded.add(filter::FilterBuilder{"Stock"}.build());
@@ -166,13 +166,8 @@ TEST(ShardMetrics, TableReportsLiveCounters) {
   EXPECT_EQ(matches, 10u);  // one shard consulted per match call
   EXPECT_EQ(hits, 10u);     // the filter matched every event
   EXPECT_EQ(filters, 1u);   // exact-type filter lives in exactly one shard
-
-  std::ostringstream os;
-  shard_table(stats).print(os);
-  const std::string rendered = os.str();
-  EXPECT_NE(rendered.find("Shard"), std::string::npos);
-  EXPECT_NE(rendered.find("Hit rate"), std::string::npos);
-  EXPECT_GT(shard_imbalance(stats), 0.0);
+  // All traffic hit the one shard holding the filter: 4 shards, max = 4×mean.
+  EXPECT_DOUBLE_EQ(shard_imbalance(stats), 4.0);
 }
 
 }  // namespace

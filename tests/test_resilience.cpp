@@ -415,7 +415,7 @@ TEST(Durable, ZeroBufferLimitHoldsNothingAndCountsEveryDrop) {
 }
 
 // Without a journal the broker buffers a detached durable subscriber's
-// events itself. Reliable links turn on the subscriber's event-id dedup, so
+// events itself. The subscriber's event-id dedup is always on, so
 // the replay must carry the publisher's frames — original event ids and
 // publish stamps — or every buffered event after the first looks like a
 // duplicate and the delivery latency is measured from time zero.
@@ -555,36 +555,6 @@ TEST(Composite, MembersCanBeUnsubscribedIndividually) {
   fx.publisher->publish(pub_event(2001, "ICDCS", "Eugster", "t"));
   fx.overlay.run();
   EXPECT_EQ(count, 1);  // only the 2001 disjunct remains
-}
-
-TEST(Composite, DedupMemoryIsBoundedAndDroppedWithTheLastMember) {
-  OverlayConfig config = fast_ttl_config();
-  config.subscriber.dedup_capacity = 8;
-  Fx fx{config};
-  auto& sub = fx.overlay.add_subscriber();
-  int count = 0;
-  const auto tokens = sub.subscribe_any(
-      {FilterBuilder{"Publication"}.where("year", Op::Eq, Value{2002}).build(),
-       FilterBuilder{"Publication"}
-           .where("author", Op::Eq, Value{"Eugster"})
-           .build()},
-      [&](const EventImage&) { ++count; });
-  fx.overlay.run();
-
-  // Three times the capacity, each event matching both disjuncts; one event
-  // at a time, so every duplicate lands inside the dedup window.
-  for (int i = 0; i < 24; ++i) {
-    fx.publisher->publish(
-        pub_event(2002, "ICDCS", "Eugster", "t-" + std::to_string(i)));
-    fx.overlay.run();
-  }
-  EXPECT_EQ(count, 24);
-  EXPECT_EQ(sub.composite_seen(), 8u);
-
-  sub.unsubscribe(tokens[0]);
-  EXPECT_EQ(sub.composite_seen(), 8u);  // a member is still live
-  sub.unsubscribe(tokens[1]);
-  EXPECT_EQ(sub.composite_seen(), 0u);
 }
 
 // ---- malformed frames ---------------------------------------------------------
