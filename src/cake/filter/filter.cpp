@@ -4,15 +4,6 @@
 
 namespace cake::filter {
 
-bool TypeConstraint::matches(symbol::Id type,
-                             const reflect::TypeRegistry& registry) const noexcept {
-  if (type == name.id || accepts_all()) return true;
-  if (!include_subtypes) return false;
-  const reflect::TypeInfo* event_type = registry.find(type);
-  const reflect::TypeInfo* base = registry.find(name.id);
-  return event_type != nullptr && base != nullptr && event_type->conforms_to(*base);
-}
-
 bool TypeConstraint::covers(const TypeConstraint& weaker,
                             const TypeConstraint& stronger,
                             const reflect::TypeRegistry& registry) noexcept {
@@ -25,6 +16,33 @@ bool TypeConstraint::covers(const TypeConstraint& weaker,
   const reflect::TypeInfo* weak_type = registry.find(weaker.name.id);
   return strong_type != nullptr && weak_type != nullptr &&
          strong_type->conforms_to(*weak_type);
+}
+
+namespace {
+
+/// The one bit that (name == value) contributes to a signature word.
+std::uint64_t signature_bit(symbol::Id name, const value::Value& value) noexcept {
+  std::uint64_t h = value.hash() ^ (std::uint64_t{name} * 0x9e3779b97f4a7c15ULL);
+  h ^= h >> 31;
+  h *= 0xbf58476d1ce4e5b9ULL;
+  return std::uint64_t{1} << (h >> 58);
+}
+
+}  // namespace
+
+std::uint64_t signature(const ConjunctiveFilter& filter) noexcept {
+  std::uint64_t word = 0;
+  for (const auto& c : filter.constraints()) {
+    if (c.op == Op::Eq) word |= signature_bit(c.name.id, c.operand);
+  }
+  return word;
+}
+
+std::uint64_t signature(const event::EventImage& image) noexcept {
+  std::uint64_t word = 0;
+  for (const event::ImageAttribute& attr : image.attributes())
+    word |= signature_bit(attr.id, attr.value);
+  return word;
 }
 
 bool ConjunctiveFilter::matches(const event::EventImage& image,

@@ -31,9 +31,16 @@ struct TypeConstraint {
   [[nodiscard]] bool accepts_all() const noexcept { return name.id == 0; }
 
   /// Does an event whose interned type name is `type` pass this constraint?
-  /// The registry is consulted, by id, only for `include_subtypes`.
+  /// The registry is consulted, by id, only for `include_subtypes`. Inline:
+  /// the exact stage runs it once per subscription per arrival.
   [[nodiscard]] bool matches(symbol::Id type,
-                             const reflect::TypeRegistry& registry) const noexcept;
+                             const reflect::TypeRegistry& registry) const noexcept {
+    if (type == name.id || accepts_all()) return true;
+    if (!include_subtypes) return false;
+    const reflect::TypeInfo* event_type = registry.find(type);
+    const reflect::TypeInfo* base = registry.find(name.id);
+    return event_type != nullptr && base != nullptr && event_type->conforms_to(*base);
+  }
 
   /// Sound covering test between type constraints.
   [[nodiscard]] static bool covers(const TypeConstraint& weaker,
@@ -114,6 +121,17 @@ private:
                                 const ConjunctiveFilter& f,
                                 const reflect::TypeRegistry& registry =
                                     reflect::TypeRegistry::global()) noexcept;
+
+/// The subscriber's prefilter word (DESIGN.md §9, "Signature prefilter"):
+/// one bit per `Op::Eq` constraint, hashed from the attribute's interned id
+/// and the operand's `Value::hash`. Other operators, wildcards and the type
+/// test set no bit, so a filter with no equality constraint has word 0.
+[[nodiscard]] std::uint64_t signature(const ConjunctiveFilter& filter) noexcept;
+
+/// The image's prefilter word: one bit per attribute, by the same hash.
+/// `Value::hash` agrees with `==`, so `f.matches(image)` implies
+/// `(signature(f) & ~signature(image)) == 0`.
+[[nodiscard]] std::uint64_t signature(const event::EventImage& image) noexcept;
 
 /// Fluent construction helper used by tests, workloads and examples:
 ///

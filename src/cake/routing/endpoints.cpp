@@ -98,6 +98,7 @@ std::uint64_t SubscriberNode::subscribe(filter::ConjunctiveFilter exact,
     exact = exact.standard_form(*type);
 
   const std::uint64_t token = next_token_++;
+  sigs_.push_back(filter::signature(exact));
   subs_.push_back(Sub{token, exact, std::move(handler), std::move(local),
                       durable, /*group=*/0, std::nullopt, {}, replay_from});
   send(root_, Subscribe{std::move(exact), id_, token, durable, replay_from});
@@ -114,6 +115,7 @@ std::vector<std::uint64_t> SubscriberNode::subscribe_any(
     if (const reflect::TypeInfo* type = registry_.find(disjunct.type().name.id))
       disjunct = disjunct.standard_form(*type);
     const std::uint64_t token = next_token_++;
+    sigs_.push_back(filter::signature(disjunct));
     subs_.push_back(
         Sub{token, disjunct, handler, local, durable, group, std::nullopt, {}});
     send(root_, Subscribe{std::move(disjunct), id_, token, durable});
@@ -178,7 +180,9 @@ void SubscriberNode::unsubscribe(std::uint64_t token) {
   Sub* const sub = find_sub(token);
   if (sub == nullptr) return;
   const Sub gone = std::move(*sub);
-  subs_.erase(subs_.begin() + (sub - subs_.data()));
+  const std::ptrdiff_t index = sub - subs_.data();
+  subs_.erase(subs_.begin() + index);
+  sigs_.erase(sigs_.begin() + index);
   // The hosting broker keeps one lease per (child, stored form), shared by
   // every subscription of ours it stored under that form: withdraw it only
   // with the last of them, or a sibling silently loses its route.
@@ -337,7 +341,11 @@ void SubscriberNode::deliver_event(sim::NodeId from, const EventMsg& ev) {
   // subs_: remembering the last group that fired keeps its handler to one
   // call per event, however many disjuncts match.
   std::uint64_t fired_group = 0;
-  for (const Sub& sub : subs_) {
+  for (std::size_t i = 0; i < subs_.size(); ++i) {
+    // Signature prefilter: a filter's equality bits must all be in the
+    // event's word, or the filter cannot match (DESIGN.md §9).
+    if ((sigs_[i] & ~ev.signature) != 0) continue;
+    const Sub& sub = subs_[i];
     if (!sub.exact.matches(ev.image, registry_)) continue;
     if (sub.local && !sub.local(ev.image)) continue;
     delivered = true;

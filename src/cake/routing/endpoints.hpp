@@ -239,6 +239,9 @@ private:
   // subscribe appends; the exact stage walks this contiguous table once per
   // arrival.
   std::vector<Sub> subs_;
+  // filter::signature of each subs_[i].exact, index for index: the exact
+  // stage's prefilter reads this contiguous array, not the Subs themselves.
+  std::vector<std::uint64_t> sigs_;
   runtime::PeriodicTask renew_;
   // One publisher's dedup window: its highest seq seen, and a ring of
   // kDedupWindow bits indexed by seq mod kDedupWindow covering the seqs

@@ -139,12 +139,13 @@ sim::Network::Payload encode_event_frame(const event::EventImage& image,
 namespace {
 
 /// The fields of an EventMsg after its tag, decoded into `m` (reusing its
-/// image's capacity).
+/// image's capacity), plus the image's prefilter signature.
 void read_event(wire::Reader& r, EventMsg& m) {
   m.published_at = r.varint();
   m.event_id = r.varint();
   m.trace_id = r.varint();
   m.image.decode_into(r);
+  m.signature = filter::signature(m.image);
 }
 
 /// The per-frame memo of an EventMsg frame (`decode_event_once`).

@@ -101,6 +101,11 @@ struct EventMsg {
   /// brokers and subscribers emit a span only when non-zero, so the
   /// disabled/unsampled hot path costs one integer compare per hop.
   std::uint64_t trace_id = 0;
+  /// `filter::signature(image)`, filled once per frame by the decode memo
+  /// and read by every subscriber's prefilter. Not on the wire. The default
+  /// sets every bit, which prunes nothing, so a message built any other way
+  /// can never lose a delivery.
+  std::uint64_t signature = ~std::uint64_t{0};
 };
 
 /// Link-layer control packets (PR 5). Owned by `link::` — the link module

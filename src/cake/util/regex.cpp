@@ -223,8 +223,12 @@ void Regex::add_to_list(std::int32_t state, std::vector<std::int32_t>& list,
 }
 
 bool Regex::matches(std::string_view subject) const {
-  std::vector<std::int32_t> current, next;
-  std::vector<std::uint32_t> marks(states_.size(), 0);
+  // Per-thread scratch, cleared and reused: a warm call allocates nothing,
+  // and lanes matching at once share no state.
+  thread_local std::vector<std::int32_t> current, next;
+  thread_local std::vector<std::uint32_t> marks;
+  current.clear();
+  marks.assign(states_.size(), 0);
   std::uint32_t mark = 1;
   add_to_list(start_, current, marks, mark);
 
@@ -251,7 +255,7 @@ bool Regex::matches(std::string_view subject) const {
 }
 
 const Regex& Regex::cached(const std::string& pattern) {
-  static std::unordered_map<std::string, Regex> cache;
+  thread_local std::unordered_map<std::string, Regex> cache;
   const auto it = cache.find(pattern);
   if (it != cache.end()) return it->second;
   return cache.emplace(pattern, Regex{pattern}).first->second;

@@ -33,14 +33,15 @@ public:
   /// Compiles `pattern`; throws RegexError on syntax errors.
   explicit Regex(std::string_view pattern);
 
-  /// Anchored match: does the whole subject match the pattern?
+  /// Anchored match: does the whole subject match the pattern? Runs on
+  /// per-thread scratch, so a warm call allocates nothing.
   [[nodiscard]] bool matches(std::string_view subject) const;
 
   [[nodiscard]] const std::string& pattern() const noexcept { return pattern_; }
 
-  /// Process-wide compile cache (patterns come from long-lived filters, so
-  /// each distinct pattern compiles once). Throws RegexError like the
-  /// constructor.
+  /// Per-thread compile cache (patterns come from long-lived filters, so
+  /// each distinct pattern compiles once per thread, and lanes never share
+  /// the map). Throws RegexError like the constructor.
   [[nodiscard]] static const Regex& cached(const std::string& pattern);
 
 private:

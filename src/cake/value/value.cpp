@@ -32,28 +32,12 @@ std::string_view to_string(Kind kind) noexcept {
   return "?";
 }
 
-Kind Value::kind() const noexcept { return static_cast<Kind>(repr_.index()); }
-
 void Value::assign_string(std::string_view s) {
   if (auto* str = std::get_if<std::string>(&repr_)) {
     str->assign(s);
     return;
   }
   repr_.emplace<std::string>(s);
-}
-
-std::optional<double> Value::as_number() const noexcept {
-  switch (kind()) {
-    case Kind::Int: return static_cast<double>(std::get<std::int64_t>(repr_));
-    case Kind::Double: return std::get<double>(repr_);
-    default: return std::nullopt;
-  }
-}
-
-bool Value::operator==(const Value& other) const noexcept {
-  if (is_numeric() && other.is_numeric())
-    return *as_number() == *other.as_number();
-  return repr_ == other.repr_;
 }
 
 std::optional<std::int8_t> Value::compare(const Value& other) const noexcept {

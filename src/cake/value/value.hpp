@@ -38,7 +38,9 @@ public:
   Value(std::string_view s) : repr_(std::string{s}) {}
   Value(const char* s) : repr_(std::string{s}) {}
 
-  [[nodiscard]] Kind kind() const noexcept;
+  [[nodiscard]] Kind kind() const noexcept {
+    return static_cast<Kind>(repr_.index());
+  }
   [[nodiscard]] bool is_null() const noexcept { return kind() == Kind::Null; }
   [[nodiscard]] bool is_numeric() const noexcept {
     return kind() == Kind::Int || kind() == Kind::Double;
@@ -58,10 +60,16 @@ public:
   [[nodiscard]] std::string_view as_string_view() const { return as_string(); }
 
   /// Numeric view regardless of int/double representation; nullopt otherwise.
-  [[nodiscard]] std::optional<double> as_number() const noexcept;
+  [[nodiscard]] std::optional<double> as_number() const noexcept {
+    if (const auto* i = std::get_if<std::int64_t>(&repr_))
+      return static_cast<double>(*i);
+    if (const auto* d = std::get_if<double>(&repr_)) return *d;
+    return std::nullopt;
+  }
 
   /// Exact structural equality (1 == 1.0 is *true*: numeric kinds compare
-  /// by value, consistent with `compare`).
+  /// by value, consistent with `compare`). Inline, with a same-kind fast
+  /// path: the exact stage runs it once per `Eq` constraint per arrival.
   [[nodiscard]] bool operator==(const Value& other) const noexcept;
 
   /// Three-way comparison where defined: numeric<->numeric, string<->string,
@@ -78,6 +86,28 @@ private:
   // Alternative index == Kind.
   std::variant<std::monostate, bool, std::int64_t, double, std::string> repr_;
 };
+
+inline bool Value::operator==(const Value& other) const noexcept {
+  if (repr_.index() == other.repr_.index()) {
+    switch (kind()) {
+      case Kind::String:
+        return *std::get_if<std::string>(&repr_) ==
+               *std::get_if<std::string>(&other.repr_);
+      case Kind::Int:
+        // Compared as doubles, like the mixed case, so == agrees with
+        // compare() and hash() even past 2^53.
+        return static_cast<double>(*std::get_if<std::int64_t>(&repr_)) ==
+               static_cast<double>(*std::get_if<std::int64_t>(&other.repr_));
+      case Kind::Double:
+        return *std::get_if<double>(&repr_) == *std::get_if<double>(&other.repr_);
+      case Kind::Bool:
+        return *std::get_if<bool>(&repr_) == *std::get_if<bool>(&other.repr_);
+      case Kind::Null:
+        return true;
+    }
+  }
+  return is_numeric() && other.is_numeric() && *as_number() == *other.as_number();
+}
 
 }  // namespace cake::value
 
