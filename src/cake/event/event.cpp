@@ -59,6 +59,7 @@ void EventImage::decode_into(wire::Reader& r) {
     attr.id = name.id;
     attr.name = name.text;
     r.value_into(attr.value);
+    attr.key = key_of(attr.id, attr.value);
   }
   const std::uint64_t extra = r.count(1);
   const std::span<const std::byte> raw = r.bytes(extra);

@@ -66,17 +66,34 @@ const reflect::TypeInfo& EventOf<Derived, Base>::type() const noexcept {
   return reflect::TypeRegistry::global().get<Derived>();
 }
 
+/// The 64-bit key of the pair (attribute `id`, `value`): the interned id
+/// mixed with `Value::hash`, so equal pairs (1 and 1.0 included) share a
+/// key. The counting index probes its equality postings with it and the
+/// signature prefilter takes its top six bits (DESIGN.md §9).
+[[nodiscard]] inline std::uint64_t key_of(symbol::Id id,
+                                          const value::Value& value) noexcept {
+  std::uint64_t h = value.hash() ^ (std::uint64_t{id} * 0x9e3779b97f4a7c15ULL);
+  h ^= h >> 31;
+  h *= 0xbf58476d1ce4e5b9ULL;
+  return h;
+}
+
 /// One extracted name-value pair. The name is *interned*: `id` is the dense
 /// symbol id and `name` a borrowed view into the interner's process-lifetime
 /// storage — constructing an attribute never copies the name (DESIGN.md §9).
+/// `key` is `key_of(id, value)`, hashed once where the attribute is built
+/// (the constructor, `decode_into`) so every broker on the event's path
+/// shares it; code that assigns `value` afterwards must reset `key`.
 struct ImageAttribute {
   symbol::Id id = 0;
   std::string_view name;
   value::Value value;
+  std::uint64_t key = key_of(0, {});
 
   ImageAttribute() = default;
   ImageAttribute(symbol::Symbol symbol, value::Value value) noexcept
-      : id(symbol.id), name(symbol.text), value(std::move(value)) {}
+      : id(symbol.id), name(symbol.text), value(std::move(value)),
+        key(key_of(id, this->value)) {}
 
   [[nodiscard]] bool operator==(const ImageAttribute& other) const noexcept {
     return id == other.id && value == other.value;

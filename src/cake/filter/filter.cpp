@@ -20,12 +20,9 @@ bool TypeConstraint::covers(const TypeConstraint& weaker,
 
 namespace {
 
-/// The one bit that (name == value) contributes to a signature word.
-std::uint64_t signature_bit(symbol::Id name, const value::Value& value) noexcept {
-  std::uint64_t h = value.hash() ^ (std::uint64_t{name} * 0x9e3779b97f4a7c15ULL);
-  h ^= h >> 31;
-  h *= 0xbf58476d1ce4e5b9ULL;
-  return std::uint64_t{1} << (h >> 58);
+/// The one bit that the pair with key `key` contributes to a signature word.
+std::uint64_t signature_bit(std::uint64_t key) noexcept {
+  return std::uint64_t{1} << (key >> 58);
 }
 
 }  // namespace
@@ -33,7 +30,7 @@ std::uint64_t signature_bit(symbol::Id name, const value::Value& value) noexcept
 std::uint64_t signature(const ConjunctiveFilter& filter) noexcept {
   std::uint64_t word = 0;
   for (const auto& c : filter.constraints()) {
-    if (c.op == Op::Eq) word |= signature_bit(c.name.id, c.operand);
+    if (c.op == Op::Eq) word |= signature_bit(event::key_of(c.name.id, c.operand));
   }
   return word;
 }
@@ -41,7 +38,7 @@ std::uint64_t signature(const ConjunctiveFilter& filter) noexcept {
 std::uint64_t signature(const event::EventImage& image) noexcept {
   std::uint64_t word = 0;
   for (const event::ImageAttribute& attr : image.attributes())
-    word |= signature_bit(attr.id, attr.value);
+    word |= signature_bit(attr.key);
   return word;
 }
 

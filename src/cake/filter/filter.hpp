@@ -123,12 +123,14 @@ private:
                                     reflect::TypeRegistry::global()) noexcept;
 
 /// The subscriber's prefilter word (DESIGN.md §9, "Signature prefilter"):
-/// one bit per `Op::Eq` constraint, hashed from the attribute's interned id
-/// and the operand's `Value::hash`. Other operators, wildcards and the type
-/// test set no bit, so a filter with no equality constraint has word 0.
+/// one bit per `Op::Eq` constraint, the top six bits of
+/// `event::key_of(attribute id, operand)`. Other operators, wildcards and
+/// the type test set no bit, so a filter with no equality constraint has
+/// word 0.
 [[nodiscard]] std::uint64_t signature(const ConjunctiveFilter& filter) noexcept;
 
-/// The image's prefilter word: one bit per attribute, by the same hash.
+/// The image's prefilter word: one bit per attribute, from the
+/// `ImageAttribute::key` the image already carries.
 /// `Value::hash` agrees with `==`, so `f.matches(image)` implies
 /// `(signature(f) & ~signature(image)) == 0`.
 [[nodiscard]] std::uint64_t signature(const event::EventImage& image) noexcept;

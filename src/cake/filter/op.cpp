@@ -41,12 +41,9 @@ bool applies(Op op, const value::Value& event_value,
       if (event_value.kind() != value::Kind::String ||
           operand.kind() != value::Kind::String)
         return false;
-      try {
-        return util::Regex::cached(operand.as_string())
-            .matches(event_value.as_string_view());
-      } catch (const util::RegexError&) {
-        return false;  // invalid pattern matches nothing
-      }
+      // An invalid pattern matches nothing.
+      const util::Regex* regex = util::Regex::cached(operand.as_string());
+      return regex != nullptr && regex->matches(event_value.as_string_view());
     }
     case Op::Lt:
     case Op::Le:

@@ -1,5 +1,7 @@
 #include "cake/index/index.hpp"
 
+#include <algorithm>
+
 namespace cake::index {
 
 std::unique_ptr<MatchIndex> make_index(Engine engine,
@@ -11,19 +13,12 @@ std::unique_ptr<MatchIndex> make_index(Engine engine,
   return std::make_unique<NaiveTable>(registry);
 }
 
-MatchScratch::CountingState& MatchScratch::counting_for(const void* owner,
-                                                        std::size_t filters) {
+void MatchScratch::rebind(const void* owner) {
   // Bound the per-owner cache: a scratch that has visited many short-lived
   // indexes sheds them all at once rather than leaking state forever.
   if (counting_.size() > 64 && !counting_.contains(owner)) counting_.clear();
-  CountingState& state = counting_[owner];
-  if (state.stamps.size() < filters) {
-    // New entries get stamp 0; epoch is always ≥ 1 by the time they are
-    // read, so they can never alias a live count.
-    state.counts.resize(filters, 0);
-    state.stamps.resize(filters, 0);
-  }
-  return state;
+  last_owner_ = owner;
+  last_state_ = &counting_[owner];  // node-based: stable until the clear
 }
 
 FilterId NaiveTable::add(filter::ConjunctiveFilter filter) {
@@ -53,104 +48,207 @@ const filter::ConjunctiveFilter* NaiveTable::find(FilterId id) const noexcept {
   return &*slots_[id];
 }
 
+// The event's type, resolved against the registry at most once per match
+// and only if a subtype-inclusive test needs its ancestors.
+class CountingIndex::EventType {
+public:
+  EventType(symbol::Id id, const reflect::TypeRegistry& registry) noexcept
+      : id_(id), registry_(registry) {}
+
+  [[nodiscard]] symbol::Id id() const noexcept { return id_; }
+
+  /// The registered type, or null for an unregistered one.
+  [[nodiscard]] const reflect::TypeInfo* info() const noexcept {
+    if (!resolved_) {
+      info_ = registry_.find(id_);
+      resolved_ = true;
+    }
+    return info_;
+  }
+
+  /// TypeConstraint::matches, from a filter's hot state.
+  [[nodiscard]] bool passes(const Hot& hot) const noexcept {
+    if (hot.type == 0 || hot.type == id_) return true;
+    if (!hot.include_subtypes) return false;
+    for (const reflect::TypeInfo* anc = info(); anc != nullptr; anc = anc->parent()) {
+      if (anc->symbol().id == hot.type) return true;
+    }
+    return false;
+  }
+
+private:
+  symbol::Id id_;
+  const reflect::TypeRegistry& registry_;
+  mutable const reflect::TypeInfo* info_ = nullptr;
+  mutable bool resolved_ = false;
+};
+
+inline std::uint32_t CountingIndex::find_posting(std::uint64_t key, symbol::Id attr,
+                                          const value::Value& value) const noexcept {
+  if (slots_.empty()) return kEmptySlot;
+  const std::size_t mask = slots_.size() - 1;
+  for (std::size_t i = key & mask;; i = (i + 1) & mask) {
+    const Slot& slot = slots_[i];
+    if (slot.posting == kEmptySlot) return kEmptySlot;
+    if (slot.key == key) {
+      const Posting& posting = postings_[slot.posting];
+      if (posting.attr == attr && posting.operand == value) return slot.posting;
+    }
+  }
+}
+
+std::vector<FilterId>& CountingIndex::posting_for(symbol::Id attr,
+                                                  const value::Value& operand) {
+  const std::uint64_t key = event::key_of(attr, operand);
+  if (const std::uint32_t found = find_posting(key, attr, operand);
+      found != kEmptySlot)
+    return postings_[found].ids;
+
+  if (2 * (postings_.size() + 1) > slots_.size()) {
+    // Grow to keep the table at most half full, re-placing every posting.
+    std::vector<Slot> grown(std::max<std::size_t>(16, 2 * slots_.size()));
+    const std::size_t mask = grown.size() - 1;
+    for (const Slot& slot : slots_) {
+      if (slot.posting == kEmptySlot) continue;
+      std::size_t i = slot.key & mask;
+      while (grown[i].posting != kEmptySlot) i = (i + 1) & mask;
+      grown[i] = slot;
+    }
+    slots_ = std::move(grown);
+  }
+  const std::size_t mask = slots_.size() - 1;
+  std::size_t i = key & mask;
+  while (slots_[i].posting != kEmptySlot) i = (i + 1) & mask;
+  slots_[i] = Slot{key, static_cast<std::uint32_t>(postings_.size())};
+  postings_.push_back(Posting{attr, operand, {}});
+  return postings_.back().ids;
+}
+
 FilterId CountingIndex::add(filter::ConjunctiveFilter filter) {
   const FilterId id = entries_.size();
-  std::size_t required = 0;
+  const filter::TypeConstraint& type = filter.type();
+  Hot hot{0, type.name.id, type.include_subtypes, true};
 
-  const auto& type = filter.type();
-  if (!type.accepts_all()) {
-    ++required;
-    auto& bucket = type.include_subtypes ? subtree_type_[type.name.id]
-                                         : exact_type_[type.name.id];
-    bucket.push_back(id);
-  }
   for (const auto& constraint : filter.constraints()) {
     if (constraint.is_wildcard()) continue;  // trivially satisfied
-    ++required;
-    AttrIndex& attr_index = by_attribute_[constraint.name.id];
-    if (constraint.op == filter::Op::Eq)
-      attr_index.equals[constraint.operand].push_back(id);
+    ++hot.required;
+    const symbol::Id attr = constraint.name.id;
+    if (constraint.op == filter::Op::Eq) {
+      posting_for(attr, constraint.operand).push_back(id);
+      continue;
+    }
+    if (attr >= others_at_.size()) others_at_.resize(attr + 1, 0);
+    if (others_at_[attr] == 0) {
+      others_.emplace_back();
+      others_at_[attr] = static_cast<std::uint32_t>(others_.size());
+    }
+    others_[others_at_[attr] - 1].push_back(Other{constraint.op, constraint.operand, id});
+  }
+  if (hot.required == 0) {
+    if (type.accepts_all())
+      accept_all_.push_back(id);
     else
-      attr_index.other.emplace_back(constraint, id);
+      (type.include_subtypes ? subtree_type_ : exact_type_)[type.name.id].push_back(id);
   }
 
-  entries_.push_back(Entry{std::move(filter), required, true});
+  entries_.push_back(Entry{std::move(filter)});
+  hot_.push_back(hot);
   ++live_;
   return id;
 }
 
 void CountingIndex::remove(FilterId id) {
-  if (id < entries_.size() && entries_[id].alive) {
-    entries_[id].alive = false;
-    --live_;
-  }
+  if (id >= hot_.size() || !hot_[id].alive) return;
+  hot_[id].alive = false;
+  entries_[id] = Entry{};  // release the filter's storage
+  --live_;
+  // The id stays in its lists, skipped by the alive test, until dead ids
+  // outnumber live ones: compaction is then linear in what it sweeps, so
+  // a remove costs O(1) amortized and a match walks at most 2× the ids.
+  if (++dead_ > live_) compact();
 }
 
-// `inline`: match() runs this once per satisfied predicate. Without the
-// hint GCC 12 left three of its five call sites out of line, which cost
-// biblio-sim throughput measurably.
-inline void CountingIndex::bump(const Entry& entry, FilterId id,
-                                std::vector<FilterId>& out,
-                                MatchScratch::CountingState& state) {
-  if (!entry.alive) return;
-  if (state.stamps[id] != state.epoch) {
-    state.stamps[id] = state.epoch;
-    state.counts[id] = 0;
+void CountingIndex::compact() {
+  const auto dead = [this](FilterId id) { return !hot_[id].alive; };
+  for (Posting& posting : postings_) std::erase_if(posting.ids, dead);
+  for (std::vector<Other>& others : others_)
+    std::erase_if(others, [&](const Other& other) { return dead(other.id); });
+  std::erase_if(accept_all_, dead);
+  for (auto* lists : {&exact_type_, &subtree_type_}) {
+    for (auto& [type, ids] : *lists) std::erase_if(ids, dead);
+    // Dropping emptied types keeps empty() a fast path in match().
+    std::erase_if(*lists, [](const auto& entry) { return entry.second.empty(); });
   }
-  if (++state.counts[id] == entry.required) out.push_back(id);
+  dead_ = 0;
+}
+
+// `inline`: match() runs this once per satisfied predicate; out of line it
+// cost biblio-sim throughput measurably.
+inline void CountingIndex::bump(FilterId id, const EventType& type,
+                                std::vector<FilterId>& out,
+                                MatchScratch::CountingState& state) const {
+  MatchScratch::Tally& tally = state.tallies[id];
+  if (tally.stamp != state.epoch) {
+    tally.stamp = state.epoch;
+    tally.count = 0;
+  }
+  const Hot& hot = hot_[id];
+  if (++tally.count == hot.required && hot.alive && type.passes(hot))
+    out.push_back(id);
 }
 
 void CountingIndex::match(const event::EventImage& image,
                           std::vector<FilterId>& out,
                           MatchScratch& scratch) const {
   out.clear();
-  MatchScratch::CountingState& state =
-      scratch.counting_for(this, entries_.size());
+  const EventType type{image.type_id(), registry_};
+
+  // Filters with no attribute predicate: accept-all, then type-only.
+  const auto add_live = [&](const std::vector<FilterId>& ids) {
+    for (const FilterId id : ids) {
+      if (hot_[id].alive) out.push_back(id);
+    }
+  };
+  add_live(accept_all_);
+  if (!exact_type_.empty()) {
+    if (const auto it = exact_type_.find(type.id()); it != exact_type_.end())
+      add_live(it->second);
+  }
+  if (!subtree_type_.empty()) {
+    const auto add_subtree = [&](symbol::Id root) {
+      if (const auto it = subtree_type_.find(root); it != subtree_type_.end())
+        add_live(it->second);
+    };
+    if (const reflect::TypeInfo* info = type.info()) {
+      for (const reflect::TypeInfo* anc = info; anc != nullptr; anc = anc->parent())
+        add_subtree(anc->symbol().id);
+    } else {
+      // Unregistered event type: a subtree rooted at exactly this name
+      // still matches (conformance is reflexive).
+      add_subtree(type.id());
+    }
+  }
+
+  // Attribute predicates: one key probe and one array load per attribute.
+  if (postings_.empty() && others_.empty()) return;
+  MatchScratch::CountingState& state = scratch.counting_for(this, hot_.size());
   ++state.epoch;
-
-  // Filters with no non-trivial predicate match everything.
-  for (FilterId id = 0; id < entries_.size(); ++id) {
-    if (entries_[id].alive && entries_[id].required == 0) out.push_back(id);
-  }
-
-  // Type predicates: exact name, then every registered ancestor's subtree.
-  // All lookups are by interned symbol id — integer hashes, no strings.
-  if (const auto exact = exact_type_.find(image.type_id());
-      exact != exact_type_.end()) {
-    for (const FilterId id : exact->second) bump(entries_[id], id, out, state);
-  }
-  const reflect::TypeInfo* type = registry_.find(image.type_id());
-  if (type != nullptr) {
-    for (const reflect::TypeInfo* anc = type; anc != nullptr; anc = anc->parent()) {
-      if (const auto it = subtree_type_.find(anc->symbol().id);
-          it != subtree_type_.end())
-        for (const FilterId id : it->second) bump(entries_[id], id, out, state);
+  for (const event::ImageAttribute& attr : image.attributes()) {
+    if (const std::uint32_t posting = find_posting(attr.key, attr.id, attr.value);
+        posting != kEmptySlot) {
+      for (const FilterId id : postings_[posting].ids) bump(id, type, out, state);
     }
-  } else if (const auto it = subtree_type_.find(image.type_id());
-             it != subtree_type_.end()) {
-    // Unregistered event type: a subtree rooted at exactly this name still
-    // matches (conformance is reflexive).
-    for (const FilterId id : it->second) bump(entries_[id], id, out, state);
-  }
-
-  // Attribute predicates.
-  for (const auto& attr : image.attributes()) {
-    const auto it = by_attribute_.find(attr.id);
-    if (it == by_attribute_.end()) continue;
-    const AttrIndex& attr_index = it->second;
-    if (const auto eq = attr_index.equals.find(attr.value);
-        eq != attr_index.equals.end()) {
-      for (const FilterId id : eq->second) bump(entries_[id], id, out, state);
-    }
-    for (const auto& [constraint, id] : attr_index.other) {
-      if (applies(constraint.op, attr.value, constraint.operand))
-        bump(entries_[id], id, out, state);
+    if (attr.id < others_at_.size() && others_at_[attr.id] != 0) {
+      for (const Other& other : others_[others_at_[attr.id] - 1]) {
+        if (applies(other.op, attr.value, other.operand))
+          bump(other.id, type, out, state);
+      }
     }
   }
 }
 
 const filter::ConjunctiveFilter* CountingIndex::find(FilterId id) const noexcept {
-  if (id >= entries_.size() || !entries_[id].alive) return nullptr;
+  if (id >= hot_.size() || !hot_[id].alive) return nullptr;
   return &entries_[id].filter;
 }
 

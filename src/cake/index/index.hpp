@@ -5,13 +5,15 @@
 // and the oracle the tests validate everything against. The paper defers
 // "efficient indexing and matching techniques" to related work;
 // `CountingIndex` is that technique: filters are decomposed into
-// predicates, per-attribute hash/scan indexes find the satisfied
-// predicates for an incoming event, and a counting pass reports the
-// filters whose predicate count is fully satisfied. Both implement
+// predicates, a hash table keyed by the image's attribute keys and
+// per-attribute scan lists find the satisfied predicates for an incoming
+// event, and a counting pass reports the filters whose predicate count is
+// fully satisfied. Both implement
 // `MatchIndex`, so brokers and baselines can switch engines (A4 ablation).
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <memory>
 #include <optional>
 #include <string>
@@ -45,20 +47,34 @@ private:
   friend class ShardedIndex;
   friend class AggregatedIndex;
 
-  /// Predicate-hit counters for one counting index, epoch-stamped so a
-  /// reused scratch needs no O(filters) clearing between matches.
+  /// Predicate-hit counter of one filter, epoch-stamped so a reused
+  /// scratch needs no O(filters) clearing between matches.
+  struct Tally {
+    std::uint64_t stamp = 0;
+    std::uint32_t count = 0;
+  };
   struct CountingState {
-    std::vector<std::size_t> counts;
-    std::vector<std::uint64_t> stamps;
+    std::vector<Tally> tallies;
     std::uint64_t epoch = 0;
   };
 
   /// State for `owner`, grown to cover `filters` entries. Kept per owner
   /// (bounded; reset wholesale past a small cap) so alternating matches
-  /// against several indexes — e.g. one per shard — stay O(1) to rebind.
-  CountingState& counting_for(const void* owner, std::size_t filters);
+  /// against several indexes — e.g. one per shard — stay O(1) to rebind;
+  /// repeated matches against one index skip the map.
+  CountingState& counting_for(const void* owner, std::size_t filters) {
+    if (owner != last_owner_) rebind(owner);
+    if (last_state_->tallies.size() < filters)
+      // New tallies get stamp 0; epoch is always ≥ 1 by the time they are
+      // read, so they can never alias a live count.
+      last_state_->tallies.resize(filters);
+    return *last_state_;
+  }
+  void rebind(const void* owner);
 
   std::unordered_map<const void*, CountingState> counting_;
+  const void* last_owner_ = nullptr;
+  CountingState* last_state_ = nullptr;  // counting_[last_owner_]
   std::vector<FilterId> shard_ids_;  // ShardedIndex: inner-id buffer
   std::vector<FilterId> agg_ids_;    // AggregatedIndex: group-rep id buffer
 };
@@ -131,8 +147,32 @@ private:
   std::size_t live_ = 0;
 };
 
-/// Predicate-counting matcher with per-attribute hash indexes for equality
-/// constraints and per-attribute scan lists for the rest.
+/// Predicate-counting matcher. A stage table holds a handful of filters,
+/// so a match's cost is its fixed per-call work; the layout keeps that to
+/// one pass over the event's attributes (DESIGN.md §9, "Counting index"):
+///
+///   * `required` counts a filter's attribute predicates only. The type
+///     test runs once, when the count completes, from the dense hot array
+///     (`{required, type, include_subtypes, alive}` by FilterId); the cold
+///     `Entry` holding the whole filter is read by find() alone.
+///   * Equality predicates live in one flat open-addressed table keyed by
+///     `ImageAttribute::key`, which the image carries from its decode: a
+///     probe hashes nothing and a hit is verified by attribute id and
+///     `Value ==`. The other operators sit in per-attribute lists reached
+///     through an array indexed by the attribute's symbol id.
+///   * Filters with no attribute predicate skip counting: accept-all ones
+///     in one list, type-only ones in per-type lists.
+///   * remove() clears the filter's alive flag; its id leaves the lists
+///     once removed ids outnumber live ones (compact()), so a match walks
+///     at most twice the live ids and a remove is O(1) amortized.
+///
+/// Output order (`LocalBus` and `CentralizedServer` run handlers in it):
+/// accept-all filters by id; then type-only filters, the exact ones on the
+/// event's type by id, then the subtype-inclusive ones rooted at the event's
+/// type and at each registered ancestor in turn, nearest first, each by id;
+/// then every other filter at the attribute that completes its count, in
+/// the image's attribute order, postings before the other operators, each
+/// list by id.
 class CountingIndex final : public MatchIndex {
 public:
   explicit CountingIndex(const reflect::TypeRegistry& registry) : registry_(registry) {}
@@ -146,30 +186,59 @@ public:
   [[nodiscard]] const filter::ConjunctiveFilter* find(FilterId id) const noexcept override;
 
 private:
+  // Cold: the whole filter, released on remove().
   struct Entry {
     filter::ConjunctiveFilter filter;
-    std::size_t required = 0;  // non-trivial predicates incl. type test
-    bool alive = true;
   };
-  struct AttrIndex {
-    // value -> filter ids with (attr == value)
-    std::unordered_map<value::Value, std::vector<FilterId>> equals;
-    // all other presence-requiring constraints on this attribute
-    std::vector<std::pair<filter::AttributeConstraint, FilterId>> other;
+  // Hot: everything the counting pass reads of one filter.
+  struct Hot {
+    std::uint32_t required = 0;  // non-wildcard attribute predicates
+    symbol::Id type = 0;         // type-test name; 0 accepts every type
+    bool include_subtypes = false;
+    bool alive = false;
+  };
+  // Ids of the filters with (attr == operand), for every operand == to it.
+  struct Posting {
+    symbol::Id attr = 0;
+    value::Value operand;
+    std::vector<FilterId> ids;
+  };
+  // One open-addressed slot: the posting's key beside its index, so a probe
+  // touches the posting only on a key hit.
+  struct Slot {
+    std::uint64_t key = 0;
+    std::uint32_t posting = kEmptySlot;
+  };
+  static constexpr std::uint32_t kEmptySlot = ~std::uint32_t{0};
+  // A presence-requiring predicate other than equality.
+  struct Other {
+    filter::Op op;
+    value::Value operand;
+    FilterId id;
   };
 
-  static void bump(const Entry& entry, FilterId id, std::vector<FilterId>& out,
-                   MatchScratch::CountingState& state);
+  class EventType;
+  void bump(FilterId id, const EventType& type, std::vector<FilterId>& out,
+            MatchScratch::CountingState& state) const;
+  [[nodiscard]] std::uint32_t find_posting(std::uint64_t key, symbol::Id attr,
+                                           const value::Value& value) const noexcept;
+  std::vector<FilterId>& posting_for(symbol::Id attr, const value::Value& operand);
+  void compact();
 
   const reflect::TypeRegistry& registry_;
   std::vector<Entry> entries_;
+  std::vector<Hot> hot_;
   std::size_t live_ = 0;
-  // All three tables key by interned symbol id: the match loop hashes one
-  // u32 per attribute instead of a string (DESIGN.md §9).
-  std::unordered_map<symbol::Id, AttrIndex> by_attribute_;
-  // type-name symbol -> ids of filters with an exact type test on it
+  std::size_t dead_ = 0;  // removed ids still in the lists
+  std::vector<Posting> postings_;
+  std::vector<Slot> slots_;  // power-of-two size, at most half full
+  // Attribute symbol id -> 1 + index into others_, 0 for none.
+  std::vector<std::uint32_t> others_at_;
+  std::vector<std::vector<Other>> others_;
+  std::vector<FilterId> accept_all_;
+  // Type-only filters, by type-name symbol: exact tests, and
+  // subtype-inclusive tests rooted at that type.
   std::unordered_map<symbol::Id, std::vector<FilterId>> exact_type_;
-  // type-name symbol -> ids of subtype-inclusive filters rooted at it
   std::unordered_map<symbol::Id, std::vector<FilterId>> subtree_type_;
 };
 

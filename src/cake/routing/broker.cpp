@@ -116,6 +116,7 @@ void Broker::restart() {
   pen_.clear();
   child_health_.clear();
   entries_.clear();
+  entry_at_.clear();
   by_filter_.clear();
   needed_.clear();
   active_.clear();
@@ -313,7 +314,9 @@ void Broker::insert_filter(filter::ConjunctiveFilter stored, sim::NodeId child,
   by_filter_.emplace(std::move(stored), fid);
 
   if (agg_ == nullptr) submit_need(entry.parent_form);
-  entries_.emplace(fid, std::move(entry));
+  const Entry& stored_entry = entries_.emplace(fid, std::move(entry)).first->second;
+  if (entry_at_.size() <= fid) entry_at_.resize(fid + 1, nullptr);
+  entry_at_[fid] = &stored_entry;
   serve_recovery_window(child);
 }
 
@@ -445,8 +448,8 @@ bool Broker::match_targets(const event::EventImage& image) {
   index_->match(image, match_scratch_, scratch_);
   target_scratch_.clear();
   for (const index::FilterId fid : match_scratch_) {
-    const Entry& entry = entries_.at(fid);
-    for (const auto& lease : entry.leases) target_scratch_.push_back(lease.child);
+    for (const auto& lease : entry_at_[fid]->leases)
+      target_scratch_.push_back(lease.child);
   }
   std::sort(target_scratch_.begin(), target_scratch_.end());
   target_scratch_.erase(
@@ -545,6 +548,7 @@ void Broker::remove_entry(index::FilterId fid) {
   by_filter_.erase(it->second.filter);
   if (agg_ == nullptr) drop_need(it->second.parent_form);
   entries_.erase(it);
+  entry_at_[fid] = nullptr;
 }
 
 void Broker::submit_need(const filter::ConjunctiveFilter& parent_form) {

@@ -464,6 +464,10 @@ private:
   };
   std::unordered_map<filter::ConjunctiveFilter, AggForm> agg_forms_;
   std::unordered_map<index::FilterId, Entry> entries_;
+  // entries_[fid] by FilterId (null once removed): match_targets reads a
+  // matched id's leases without hashing. Map nodes never move, so the
+  // pointers hold until the entry is erased.
+  std::vector<const Entry*> entry_at_;
   std::unordered_map<filter::ConjunctiveFilter, index::FilterId> by_filter_;
   std::unordered_map<filter::ConjunctiveFilter, std::size_t> needed_;  // refcounts
   std::unordered_set<filter::ConjunctiveFilter> active_;  // submitted upward

@@ -1,5 +1,6 @@
 #include "cake/util/regex.hpp"
 
+#include <optional>
 #include <unordered_map>
 
 namespace cake::util {
@@ -254,11 +255,19 @@ bool Regex::matches(std::string_view subject) const {
   return false;
 }
 
-const Regex& Regex::cached(const std::string& pattern) {
-  thread_local std::unordered_map<std::string, Regex> cache;
-  const auto it = cache.find(pattern);
-  if (it != cache.end()) return it->second;
-  return cache.emplace(pattern, Regex{pattern}).first->second;
+const Regex* Regex::cached(const std::string& pattern) {
+  thread_local std::unordered_map<std::string, std::optional<Regex>> cache;
+  auto it = cache.find(pattern);
+  if (it == cache.end()) {
+    std::optional<Regex> compiled;
+    try {
+      compiled.emplace(pattern);
+    } catch (const RegexError&) {
+      // Leave it empty: the pattern is malformed for good.
+    }
+    it = cache.emplace(pattern, std::move(compiled)).first;
+  }
+  return it->second ? &*it->second : nullptr;
 }
 
 }  // namespace cake::util

@@ -41,8 +41,9 @@ public:
 
   /// Per-thread compile cache (patterns come from long-lived filters, so
   /// each distinct pattern compiles once per thread, and lanes never share
-  /// the map). Throws RegexError like the constructor.
-  [[nodiscard]] static const Regex& cached(const std::string& pattern);
+  /// the map). Null for a malformed pattern: the failure is cached too, so
+  /// it costs one lookup per evaluation, not a parse and a throw.
+  [[nodiscard]] static const Regex* cached(const std::string& pattern);
 
 private:
   // One NFA state: a transition condition plus up to two successors

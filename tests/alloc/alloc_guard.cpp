@@ -18,6 +18,7 @@
 #include <vector>
 
 #include "cake/filter/filter.hpp"
+#include "cake/index/index.hpp"
 #include "cake/link/link.hpp"
 #include "cake/routing/broker.hpp"
 #include "cake/routing/endpoints.hpp"
@@ -430,6 +431,81 @@ TEST(AllocGuard, SubscriberExactStageOverTwentySubscriptionsIsAllocationFree) {
   EXPECT_EQ(misfired, 0u);
   EXPECT_EQ(subscriber.stats().events_received, 64u + kEvents);
   EXPECT_EQ(subscriber.stats().events_delivered, 64u + kEvents);
+}
+
+// One filter per operator (and the subtype-inclusive and accept-all
+// shapes), each matched by a CountingIndex against a Publication image
+// whose title is past the SSO buffer: once warm, a match allocates nothing
+// whatever the operator.
+struct OperatorCase {
+  const char* name;
+  filter::ConjunctiveFilter filter;
+};
+void PrintTo(const OperatorCase& c, std::ostream* os) { *os << c.name; }
+
+std::vector<OperatorCase> operator_cases() {
+  workload::ensure_types_registered();
+  const auto on = [](const char* attr, Op op, Value operand = {}) {
+    return FilterBuilder{"Publication"}.where(attr, op, std::move(operand)).build();
+  };
+  return {
+      {"Eq", on("year", Op::Eq, Value{2002})},
+      {"Ne", on("conference", Op::Ne, Value{"PODC"})},
+      {"Lt", on("year", Op::Lt, Value{2003})},
+      {"Le", on("year", Op::Le, Value{2002.0})},
+      {"Gt", on("year", Op::Gt, Value{2001})},
+      {"Ge", on("year", Op::Ge, Value{2002})},
+      {"Prefix", on("title", Op::Prefix, Value{"Event Systems"})},
+      {"Exists", on("author", Op::Exists)},
+      {"Any", on("author", Op::Any)},
+      {"Regex", on("conference", Op::Regex, Value{"ICDCS|PODC"})},
+      {"SubtypeInclusive", FilterBuilder{"Publication", true}
+                               .where("year", Op::Ge, Value{2000})
+                               .build()},
+      {"AcceptAll", filter::ConjunctiveFilter::accept_all()},
+  };
+}
+
+class CountingMatchAllocGuard : public ::testing::TestWithParam<OperatorCase> {};
+
+TEST_P(CountingMatchAllocGuard, MatchIsAllocationFreeOnceWarm) {
+  index::CountingIndex counting{reflect::TypeRegistry::global()};
+  // A miss beside the hit: the table holds a posting the event skips.
+  counting.add(FilterBuilder{"Publication"}.where("year", Op::Eq, Value{1999}).build());
+  const index::FilterId hit = counting.add(GetParam().filter);
+
+  const event::EventImage image = long_title_image();
+  index::MatchScratch scratch;
+  std::vector<index::FilterId> out;
+  for (int i = 0; i < 8; ++i) counting.match(image, out, scratch);
+  ASSERT_EQ(out, std::vector<index::FilterId>{hit});
+
+  std::uint64_t matched = 0;
+  const std::uint64_t before = news();
+  for (int i = 0; i < 512; ++i) {
+    counting.match(image, out, scratch);
+    matched += out.size();
+  }
+  EXPECT_EQ(news() - before, 0u) << "CountingIndex::match allocated";
+  EXPECT_EQ(matched, 512u);
+}
+
+INSTANTIATE_TEST_SUITE_P(EveryOperator, CountingMatchAllocGuard,
+                         ::testing::ValuesIn(operator_cases()),
+                         [](const auto& info) { return std::string{info.param.name}; });
+
+// A malformed pattern's failure is cached like a compile: evaluating it
+// again is one lookup that allocates nothing, not a parse and a throw.
+TEST(AllocGuard, MalformedRegexEvaluationIsAllocationFreeOnceWarm) {
+  const Value subject{"PODC"};
+  const Value pattern{"(PODC|SOSP"};
+  ASSERT_FALSE(filter::applies(Op::Regex, subject, pattern));  // warm
+
+  std::uint64_t matched = 0;
+  const std::uint64_t before = news();
+  for (int i = 0; i < 512; ++i) matched += filter::applies(Op::Regex, subject, pattern);
+  EXPECT_EQ(news() - before, 0u) << "a cached regex failure allocated";
+  EXPECT_EQ(matched, 0u);
 }
 
 // LocalBus::publish: the typed event -> image extraction reuses a

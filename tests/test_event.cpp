@@ -186,5 +186,73 @@ TEST_F(EventTest, OpaquePayloadSurvivesWireButNotProjection) {
   EXPECT_EQ(sealed->secret(), "hidden-state");
 }
 
+// ImageAttribute::key is hashed once where an attribute is built and then
+// trusted by the counting index and the signature word, so every way an
+// image comes to be must leave key == key_of(id, value).
+void expect_keys_current(const EventImage& image) {
+  for (const ImageAttribute& attr : image.attributes()) {
+    EXPECT_EQ(attr.key, key_of(attr.id, attr.value))
+        << attr.name << " = " << attr.value.to_string();
+  }
+}
+
+TEST_F(EventTest, AttributeKeyIsSetByTheConstructor) {
+  const ImageAttribute attr{"price", value::Value{10}};
+  EXPECT_EQ(attr.key, key_of(attr.id, value::Value{10}));
+  EXPECT_EQ(attr.key, key_of(attr.id, value::Value{10.0}));  // 1 == 1.0
+  EXPECT_NE(attr.key, key_of(symbol::intern("volume").id, value::Value{10}));
+  EXPECT_EQ(ImageAttribute{}.key, key_of(0, value::Value{}));
+  expect_keys_current(EventImage{"Ghost", {{"a", value::Value{"x"}},
+                                           {"b", value::Value{true}},
+                                           {"c", value::Value{}}}});
+}
+
+TEST_F(EventTest, AttributeKeyIsSetByImageOfProjectAndCopies) {
+  const EventImage image = image_of(CarAuction{9000.0, 4, 5});
+  expect_keys_current(image);
+  expect_keys_current(image.project({"price", "doors"}));
+
+  const EventImage copied = image;
+  expect_keys_current(copied);
+  EventImage assigned;
+  assigned = copied;
+  expect_keys_current(assigned);
+  std::vector<ImageAttribute> attrs = image.attributes();
+  attrs.push_back({"uid", value::Value{std::int64_t{7}}});
+  expect_keys_current(EventImage{image.type_name(), std::move(attrs)});
+
+  EventImage reused;
+  image_of_into(Stock{"Foo", 1.5, 10}, reused);
+  image_of_into(Publication{2002, "ICDCS", "Eugster", "CAKE"}, reused);  // warm
+  expect_keys_current(reused);
+}
+
+TEST_F(EventTest, AttributeKeyIsSetByDecodeIntoAWarmImageWhoseKindsChange) {
+  // Each round decodes into the same image, so the attributes it reuses
+  // change value kind underneath their keys: string -> int -> double ->
+  // bool -> null -> string, and the count grows and shrinks.
+  const std::vector<std::vector<value::Value>> rounds = {
+      {value::Value{"long enough to leave the small-string buffer"}, value::Value{1}},
+      {value::Value{1}, value::Value{2.5}, value::Value{"x"}},
+      {value::Value{1.0}, value::Value{true}},
+      {value::Value{false}, value::Value{}, value::Value{3}},
+      {value::Value{}},
+      {value::Value{"y"}, value::Value{"z"}, value::Value{4}, value::Value{5.0}},
+  };
+  EventImage warm;
+  for (const auto& values : rounds) {
+    std::vector<ImageAttribute> attrs;
+    for (std::size_t i = 0; i < values.size(); ++i)
+      attrs.push_back({i % 2 == 0 ? "a" : "b", values[i]});
+    const EventImage source{"Ghost", std::move(attrs)};
+    wire::Writer w;
+    source.encode(w);
+    wire::Reader r{w.bytes()};
+    warm.decode_into(r);
+    EXPECT_EQ(warm, source);
+    expect_keys_current(warm);
+  }
+}
+
 }  // namespace
 }  // namespace cake::event

@@ -247,5 +247,151 @@ TEST(IndexOracle, CountingAgreesWithNaiveOnRandomWorkloads) {
   }
 }
 
+// The output order of CountingIndex::match, as index.hpp documents it:
+// LocalBus and CentralizedServer run handlers in this order, so it must not
+// drift. Event attributes: product, price, kind, capacity, doors.
+TEST(CountingIndexOrder, AcceptAllThenTypeOnlyThenCompletionsInAttributeOrder) {
+  workload::ensure_types_registered();
+  CountingIndex index{reflect::TypeRegistry::global()};
+  const std::vector<ConjunctiveFilter> filters = {
+      /* 0 */ FilterBuilder{"CarAuction"}.where("doors", Op::Eq, Value{5}).build(),
+      /* 1 */ FilterBuilder{"Auction", true}.where("kind", Op::Eq, Value{"Car"}).build(),
+      /* 2 */ ConjunctiveFilter::accept_all(),
+      /* 3 */ FilterBuilder{"VehicleAuction", true}.build(),
+      /* 4 */ FilterBuilder{"CarAuction"}.build(),
+      /* 5 */ FilterBuilder{"Auction", true}.build(),
+      /* 6 */ FilterBuilder{"CarAuction", true}.build(),
+      /* 7 */ FilterBuilder{}.where("price", Op::Gt, Value{50}).build(),
+      /* 8 */ FilterBuilder{}
+          .where("product", Op::Eq, Value{"Vehicle"})
+          .where("capacity", Op::Ge, Value{4})
+          .build(),
+      /* 9 */ FilterBuilder{"Auction"}.where("product", Op::Eq, Value{"Vehicle"}).build(),
+      /* 10 */ ConjunctiveFilter::accept_all(),
+      /* 11 */ FilterBuilder{}.where("price", Op::Eq, Value{100}).build(),
+      /* 12 */ FilterBuilder{"VehicleAuction", true}.where("doors", Op::Exists).build(),
+  };
+  for (const ConjunctiveFilter& f : filters) index.add(f);
+
+  std::vector<FilterId> out;
+  index.match(image_of(CarAuction{100.0, 4, 5}), out);
+  EXPECT_EQ(out, (std::vector<FilterId>{2, 10, 4, 6, 3, 5, 11, 7, 1, 8, 0, 12}));
+
+  // Removing and re-adding moves a filter to the end of its list.
+  index.remove(10);
+  index.remove(3);
+  index.remove(11);
+  const FilterId readded = index.add(filters[11]);
+  index.match(image_of(CarAuction{100.0, 4, 5}), out);
+  EXPECT_EQ(out, (std::vector<FilterId>{2, 4, 6, 5, readded, 7, 1, 8, 0, 12}));
+
+  // Once removed ids outnumber live ones the lists are compacted; the
+  // survivors keep their order.
+  for (const FilterId id : {0, 1, 2, 4, 5}) index.remove(id);
+  EXPECT_EQ(index.size(), 6u);
+  index.match(image_of(CarAuction{100.0, 4, 5}), out);
+  EXPECT_EQ(out, (std::vector<FilterId>{6, readded, 7, 8, 12}));
+}
+
+// A random filter over the test domains, mixing every shape the counting
+// index files differently: accept-all, type-only (exact and subtree, on
+// registered and unregistered types), type-less attribute filters, and
+// every operator with int and double spellings of one number.
+ConjunctiveFilter random_shape(util::Rng& rng) {
+  static const char* const kTypes[] = {"Auction", "VehicleAuction", "CarAuction",
+                                       "Stock", "Ghost"};
+  static const char* const kAttrs[] = {"price", "capacity", "doors", "kind",
+                                       "symbol", "product", "volume"};
+  static const Op kOps[] = {Op::Eq, Op::Ne,     Op::Lt,     Op::Le,  Op::Gt,
+                            Op::Ge, Op::Prefix, Op::Exists, Op::Any, Op::Regex};
+  const auto type = [&]() -> FilterBuilder {
+    if (rng.chance(0.25)) return FilterBuilder{};
+    return FilterBuilder{kTypes[rng.below(std::size(kTypes))], rng.chance(0.5)};
+  };
+  const auto operand = [&](Op op) -> Value {
+    if (op == Op::Prefix || op == Op::Regex || rng.chance(0.2)) {
+      static const char* const kText[] = {"Car", "Ca", "C.*", "Vehicle", "Foo",
+                                          "(Car"};
+      return Value{kText[rng.below(std::size(kText))]};
+    }
+    const std::int64_t n = static_cast<std::int64_t>(rng.below(6));
+    return rng.chance(0.5) ? Value{n} : Value{static_cast<double>(n)};
+  };
+  switch (rng.below(6)) {
+    case 0: return ConjunctiveFilter::accept_all();
+    case 1: return type().build();
+    default: {
+      FilterBuilder builder = type();
+      for (std::size_t i = 1 + rng.below(3); i > 0; --i) {
+        const Op op = kOps[rng.below(std::size(kOps))];
+        builder.where(kAttrs[rng.below(std::size(kAttrs))], op, operand(op));
+      }
+      return builder.build();
+    }
+  }
+}
+
+EventImage random_event(util::Rng& rng) {
+  const auto number = [&]() -> Value {
+    const std::int64_t n = static_cast<std::int64_t>(rng.below(6));
+    return rng.chance(0.5) ? Value{n} : Value{static_cast<double>(n)};
+  };
+  switch (rng.below(5)) {
+    case 0: return image_of(CarAuction{double(rng.below(6)), std::int64_t(rng.below(6)),
+                                       std::int64_t(rng.below(6))});
+    case 1: return image_of(VehicleAuction{double(rng.below(6)), "Car", 3});
+    case 2: return image_of(Auction{"Vehicle", 1.0});
+    case 3: return image_of(Stock{"Foo", double(rng.below(6)), 2});
+    default: {
+      // Unregistered types carry any attributes at all.
+      static const char* const kGhosts[] = {"Ghost", "Phantom"};
+      return EventImage{kGhosts[rng.below(2)],
+                        {{"price", number()}, {"kind", Value{"Car"}}, {"doors", number()}}};
+    }
+  }
+}
+
+// Differential check of the counting index's separate paths (accept-all
+// list, type-only lists, type test at completion, keyed postings) against
+// the Fig. 6 scan, with removes followed by re-adds of the same filters.
+TEST(IndexOracle, CountingAgreesWithNaiveOnEveryFilterShape) {
+  workload::ensure_types_registered();
+  for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+    SCOPED_TRACE(seed);
+    util::Rng rng{seed};
+    NaiveTable naive{reflect::TypeRegistry::global()};
+    CountingIndex counting{reflect::TypeRegistry::global()};
+    std::vector<ConjunctiveFilter> added;
+    std::vector<FilterId> out_naive, out_counting;
+    // Odd seeds churn hard enough that removed ids outnumber live ones
+    // and the counting index compacts its lists.
+    const double remove_rate = seed % 2 == 1 ? 0.9 : 0.2;
+    for (int step = 0; step < 120; ++step) {
+      for (int r = 0; r < 2 && !added.empty() && rng.chance(remove_rate); ++r) {
+        const FilterId victim = rng.below(added.size());
+        naive.remove(victim);
+        counting.remove(victim);
+      }
+      ConjunctiveFilter f = rng.chance(0.2) && !added.empty()
+                                ? added[rng.below(added.size())]  // re-add
+                                : random_shape(rng);
+      ASSERT_EQ(naive.add(f), counting.add(f));
+      added.push_back(std::move(f));
+      ASSERT_EQ(naive.size(), counting.size());
+
+      for (int e = 0; e < 4; ++e) {
+        const EventImage image = random_event(rng);
+        naive.match(image, out_naive);
+        counting.match(image, out_counting);
+        std::vector<FilterId> sorted = out_counting;
+        std::sort(sorted.begin(), sorted.end());
+        ASSERT_EQ(std::adjacent_find(sorted.begin(), sorted.end()), sorted.end())
+            << "duplicate id for " << image.to_string();
+        ASSERT_EQ(out_naive, sorted) << "event " << image.to_string();
+      }
+    }
+  }
+}
+
 }  // namespace
 }  // namespace cake::index
