@@ -54,8 +54,12 @@ void EventImage::decode_into(wire::Reader& r) {
   const std::uint64_t n = r.count(2);  // name length byte + value tag
   // resize, not clear: the surviving attributes keep their string storage.
   attributes_.resize(n);
-  for (ImageAttribute& attr : attributes_) {
+  for (std::size_t i = 0; i < n; ++i) {
+    ImageAttribute& attr = attributes_[i];
     const symbol::Symbol name = symbol::intern(r.string_view());
+    for (std::size_t j = 0; j < i; ++j)  // or an index counts it twice
+      if (attributes_[j].id == name.id)
+        throw wire::WireError{"event: repeated attribute name"};
     attr.id = name.id;
     attr.name = name.text;
     r.value_into(attr.value);

@@ -143,7 +143,8 @@ public:
 
   /// `decode` into *this*, reusing its attribute, string and opaque
   /// capacity: decoding an image of the same shape into a warm image
-  /// allocates nothing (the per-frame memo, DESIGN.md §9).
+  /// allocates nothing (the per-frame memo, DESIGN.md §9). Throws
+  /// wire::WireError when an attribute name repeats.
   void decode_into(wire::Reader& r);
 
   [[nodiscard]] std::string to_string() const;

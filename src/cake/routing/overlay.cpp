@@ -20,13 +20,8 @@ Overlay::Overlay(OverlayConfig config, const reflect::TypeRegistry& registry)
       throw std::invalid_argument{
           "Overlay: tracing is sim-backend-only (run the oracle config)"};
     threaded_ = std::make_unique<runtime::ThreadedTransport>(config_.threaded);
-    // Delivery fabric: every frame to node n lands on lane n % workers as
-    // a refcounted handoff, so n's handler always runs on its own lane.
-    network_.bind_lanes(
-        *threaded_,
-        [workers = threaded_->workers()](sim::NodeId node) {
-          return static_cast<std::size_t>(node) % workers;
-        });
+    // Delivery fabric: node n's frames run on its own lane, n % workers.
+    network_.bind_lanes(*threaded_);
   }
 
   if (config_.trace.enabled)

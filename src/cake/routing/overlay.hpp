@@ -99,9 +99,6 @@ public:
     return threaded_ ? static_cast<runtime::Transport&>(*threaded_)
                      : static_cast<runtime::Transport&>(transport_);
   }
-  [[nodiscard]] bool threaded_backend() const noexcept {
-    return threaded_ != nullptr;
-  }
 
   /// Lane owning `node` on the threaded backend (0 under Sim — one lane).
   [[nodiscard]] std::size_t lane_of(sim::NodeId node) const noexcept {

@@ -5,14 +5,13 @@
 // word that encodes whose turn the slot is; producers claim slots with one
 // CAS on the enqueue cursor, the consumer advances its cursor with plain
 // stores. No slot is ever written while the other side can read it, so the
-// only contended word is the enqueue cursor — this is the queue between
-// the link layer and the matching shards (DESIGN.md §11), and its push is
-// the entire cross-thread cost of handing an event over (the payloads
-// themselves are refcounted frames: a handoff is a pointer move).
+// only contended word is the enqueue cursor. It is each ThreadedTransport
+// lane's one queue (DESIGN.md §11), and its push is the entire cross-thread
+// cost of handing a fabric frame over (a refcounted frame: a pointer move).
 //
-// Capacity is rounded up to a power of two. `try_push` fails when the ring
-// is full (bounded = backpressure, never unbounded memory); `try_pop`
-// fails when it is empty. Both are wait-free for the consumer and
+// Capacity is rounded up to a power of two. `try_push` fails, never waits,
+// when the ring is full (the lane worker then defers to its outbox);
+// `try_pop` fails when it is empty. Both are wait-free for the consumer and
 // lock-free for producers.
 #pragma once
 
@@ -38,8 +37,6 @@ public:
 
   BoundedMpscQueue(const BoundedMpscQueue&) = delete;
   BoundedMpscQueue& operator=(const BoundedMpscQueue&) = delete;
-
-  [[nodiscard]] std::size_t capacity() const noexcept { return mask_ + 1; }
 
   /// Any thread. False when the ring is full.
   bool try_push(T&& value) {

@@ -8,10 +8,8 @@ namespace cake::runtime {
 
 namespace {
 
-/// Which lane the current thread is the consumer of, if any. Lets a worker
-/// posting to its own full lane help-drain instead of deadlocking on
-/// itself, and keeps cross-lane posts honest about backpressure.
-thread_local void* t_current_lane = nullptr;
+/// The lane this thread works, if any: a worker defers, others wait.
+thread_local const void* t_current_lane = nullptr;
 
 }  // namespace
 
@@ -52,31 +50,48 @@ Time ThreadedTransport::now() const noexcept {
                                .count());
 }
 
-void ThreadedTransport::post(std::size_t lane, Task fn) {
+void ThreadedTransport::post(std::size_t lane, LaneTask task) {
   if (stop_.load(std::memory_order_acquire)) {
     posts_rejected_.fetch_add(1, std::memory_order_relaxed);
     return;
   }
   foreground_.fetch_add(1, std::memory_order_relaxed);
-  enqueue(*lanes_[lane % lanes_.size()], Item{std::move(fn), true});
+  enqueue(*lanes_[lane % lanes_.size()], Item{std::move(task), true});
 }
 
 void ThreadedTransport::enqueue(Lane& lane, Item item) {
-  while (!lane.queue.try_push(std::move(item))) {
-    if (t_current_lane == &lane) {
-      // We are this queue's consumer: make room by running the head task
-      // inline. Order is preserved — the head precedes what we are adding.
-      Item head;
-      if (lane.queue.try_pop(head)) {
-        head.fn();
-        if (head.foreground) finish_foreground(1);
-        lane.tasks.fetch_add(1, std::memory_order_relaxed);
-        continue;
-      }
+  const std::size_t index = current_lane();
+  if (index < lanes_.size() && lanes_[index].get() == t_current_lane) {
+    Lane& self = *lanes_[index];
+    if (self.sent == self.outbox.size() &&
+        lane.queue.try_push(std::move(item))) {
+      wake(lane);
+      return;
     }
-    std::this_thread::yield();  // backpressure on a foreign full lane
+    outboxed_.fetch_add(1, std::memory_order_relaxed);
+    self.deferred.fetch_add(1, std::memory_order_relaxed);
+    self.outbox.emplace_back(&lane, std::move(item));
+    return;
   }
+  while (!lane.queue.try_push(std::move(item))) std::this_thread::yield();
   wake(lane);
+}
+
+void ThreadedTransport::flush_outbox(Lane& self) {
+  auto& box = self.outbox;
+  for (; self.sent < box.size(); ++self.sent) {
+    auto& [target, item] = box[self.sent];
+    if (!target->queue.try_push(std::move(item))) break;
+    wake(*target);
+    outboxed_.fetch_sub(1, std::memory_order_release);  // publishes the push
+  }
+  // Drop the sent prefix once it is half the outbox, so a backlog that
+  // never empties cannot grow the vector without bound.
+  if (self.sent > 0 && self.sent * 2 >= box.size()) {
+    box.erase(box.begin(),
+              box.begin() + static_cast<std::ptrdiff_t>(self.sent));
+    self.sent = 0;
+  }
 }
 
 void ThreadedTransport::wake(Lane& lane) {
@@ -101,17 +116,18 @@ void ThreadedTransport::finish_foreground(std::uint64_t n) noexcept {
 void ThreadedTransport::worker_loop(Lane& lane, std::size_t index) {
   t_current_lane = &lane;
   detail::t_lane_index = index;
-  std::vector<Item> batch(options_.batch);
+  Item item;
   for (;;) {
     std::size_t n = 0;
-    while (n < options_.batch && lane.queue.try_pop(batch[n])) ++n;
+    std::uint64_t fg = 0;
+    while (n < options_.batch &&
+           (flush_outbox(lane), lane.queue.try_pop(item))) {
+      item.fn();
+      item.fn.reset();  // drop captures before the next task, or a sleep
+      fg += item.foreground ? 1 : 0;
+      ++n;
+    }
     if (n > 0) {
-      std::uint64_t fg = 0;
-      for (std::size_t i = 0; i < n; ++i) {
-        batch[i].fn();
-        batch[i].fn = nullptr;  // drop captures before the next sleep
-        if (batch[i].foreground) ++fg;
-      }
       lane.tasks.fetch_add(n, std::memory_order_relaxed);
       lane.batches.fetch_add(1, std::memory_order_relaxed);
       std::uint64_t seen = lane.max_batch.load(std::memory_order_relaxed);
@@ -122,8 +138,14 @@ void ThreadedTransport::worker_loop(Lane& lane, std::size_t index) {
       if (fg > 0) finish_foreground(fg);
       continue;
     }
+    if (lane.sent < lane.outbox.size()) {
+      std::this_thread::yield();  // never sleep on a deferred task
+      continue;
+    }
     if (stop_.load(std::memory_order_acquire)) {
-      if (lane.queue.empty()) break;  // shutdown drains before exit
+      // Shutdown drains before exit, other workers' outboxes included.
+      if (outboxed_.load(std::memory_order_acquire) == 0 && lane.queue.empty())
+        break;
       continue;
     }
     std::unique_lock lock{lane.mutex};
@@ -230,7 +252,7 @@ void ThreadedTransport::timer_loop() {
       // Foreground accounting was charged at schedule time and transfers
       // to the queued item; the worker releases it after execution.
       enqueue(*lanes_[entry.lane % lanes_.size()],
-              Item{std::move(task), entry.foreground});
+              Item{LaneTask{std::move(task)}, entry.foreground});
     }
     lock.lock();
   }
@@ -276,6 +298,7 @@ ThreadedStats ThreadedTransport::stats() const noexcept {
     s.max_batch = std::max(s.max_batch,
                            lane->max_batch.load(std::memory_order_relaxed));
     s.missed_wakeups += lane->missed_wakeups.load(std::memory_order_relaxed);
+    s.deferred += lane->deferred.load(std::memory_order_relaxed);
   }
   s.timers_fired = timers_fired_.load(std::memory_order_relaxed);
   s.posts_rejected = posts_rejected_.load(std::memory_order_relaxed);

@@ -1,16 +1,17 @@
-// Threaded Transport backend: per-core executor lanes, bounded lock-free
-// MPSC queues, batch-draining workers, and a timer service (DESIGN.md §11).
+// Threaded Transport backend: per-core executor lanes, one bounded
+// lock-free MPSC queue of `LaneTask`s per lane, batch-draining workers, and
+// a timer service (DESIGN.md §11).
 //
-// Each worker owns one `BoundedMpscQueue` of tasks and drains up to
-// `batch` of them per wakeup before touching its condition variable again,
-// so queue/wakeup costs amortize over N tasks — the same batching the
-// delivery fabric (sim::Network::bind_lanes, DESIGN.md §14) applies to the
-// frames in its lane inboxes. A dedicated timer thread keeps a deadline heap
-// and posts due tasks onto the lane that *scheduled* them (lane affinity),
-// so a broker's timer callbacks run serialized with the rest of that
-// broker's work exactly as they do on the sim backend.
+// Posts, due timers and the delivery fabric's frames (sim::Network::
+// bind_lanes, DESIGN.md §14) all pass through a lane's one queue, and a
+// worker runs up to `batch` of them per wakeup. No worker waits for room
+// or runs a task inside another: a post that finds its queue full, or its
+// worker's outbox non-empty, joins that outbox, which the worker flushes
+// in order before every pop. Outside threads yield until there is room.
+// A timer thread posts due tasks onto the lane that *scheduled* them, so
+// a broker's timers stay serialized with its other work, as on sim.
 //
-// Worker count resolution (satellite: deterministic, never oversubscribed):
+// Worker count resolution (deterministic, never oversubscribed):
 // the limit is `CAKE_THREADS` when set (clamped to [1, 64]), else
 // `std::thread::hardware_concurrency()`; `ThreadedOptions::workers == 0`
 // means "the limit", anything else is clamped *to* the limit. A 1-core dev
@@ -26,6 +27,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "cake/runtime/lane_task.hpp"
 #include "cake/runtime/mpsc.hpp"
 #include "cake/runtime/transport.hpp"
 
@@ -58,6 +60,7 @@ struct ThreadedStats {
   /// Worker sleeps that ran into their timeout with work already queued: a
   /// post whose wakeup was lost. 0 unless the wake protocol is broken.
   std::uint64_t missed_wakeups = 0;
+  std::uint64_t deferred = 0;  ///< posts a worker parked in its outbox
 };
 
 class ThreadedTransport final : public Transport {
@@ -69,10 +72,13 @@ public:
   [[nodiscard]] std::size_t workers() const noexcept override {
     return lanes_.size();
   }
-  [[nodiscard]] bool concurrent() const noexcept override { return true; }
 
   void post(Task fn) override { post(0, std::move(fn)); }
-  void post(std::size_t lane, Task fn) override;
+  void post(std::size_t lane, Task fn) override {
+    post(lane, LaneTask{std::move(fn)});
+  }
+  /// Foreground post of a ready queue slot (the fabric's frame handoff).
+  void post(std::size_t lane, LaneTask task);
 
   void schedule_after(Time delay, Task fn) override;
   void schedule_background_after(Time delay, Task fn) override;
@@ -93,7 +99,7 @@ public:
 private:
   /// One queued unit: the task plus whether drain() waits for it.
   struct Item {
-    Task fn;
+    LaneTask fn;
     bool foreground = false;
   };
 
@@ -107,6 +113,11 @@ private:
     std::atomic<std::uint64_t> batches{0};
     std::atomic<std::uint64_t> max_batch{0};
     std::atomic<std::uint64_t> missed_wakeups{0};
+    std::atomic<std::uint64_t> deferred{0};
+    // Deferred posts from `sent` on, in post order; only this lane's worker
+    // touches them. A warm vector defers without allocating.
+    std::vector<std::pair<Lane*, Item>> outbox;
+    std::size_t sent = 0;
     std::thread thread;
   };
 
@@ -125,9 +136,11 @@ private:
 
   void worker_loop(Lane& lane, std::size_t index);
   void timer_loop();
-  /// Blocking enqueue with backpressure; runs queued work inline when a
-  /// worker posts to its own full lane (it *is* that queue's consumer).
+  /// A worker of this transport defers to its outbox rather than wait;
+  /// other threads yield while `lane` is full.
   void enqueue(Lane& lane, Item item);
+  /// Pushes the outbox in order, stopping at the first full target.
+  void flush_outbox(Lane& self);
   void wake(Lane& lane);
   void finish_foreground(std::uint64_t n) noexcept;
   TimerId schedule_at_internal(Time at, Task fn, bool foreground);
@@ -137,6 +150,7 @@ private:
   std::vector<std::unique_ptr<Lane>> lanes_;
   std::atomic<bool> stop_{false};
   bool joined_ = false;
+  std::atomic<std::uint64_t> outboxed_{0};  // shutdown waits for 0
 
   // Foreground work outstanding: posts plus foreground timers that have
   // neither executed nor been cancelled. drain() waits for zero.

@@ -89,14 +89,6 @@ public:
   /// the threaded one. `post(lane, …)` indices wrap modulo this.
   [[nodiscard]] virtual std::size_t workers() const noexcept = 0;
 
-  /// True when posted tasks run concurrently with the posting thread
-  /// (the threaded backend). False on the sim backend, where tasks run
-  /// inline on the caller's thread at drain time — a producer that spun
-  /// waiting for a consumer task there would wait forever. Backpressure
-  /// code blocks only when this is true and degrades to admission
-  /// otherwise (DESIGN.md §15).
-  [[nodiscard]] virtual bool concurrent() const noexcept { return false; }
-
   /// Runs `fn` as soon as the target lane gets to it (foreground).
   virtual void post(Task fn) = 0;
   /// Lane-addressed post: `lane % workers()` picks the executor. All tasks

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <stdexcept>
-#include <thread>
 
 namespace cake::sim {
 
@@ -162,24 +161,14 @@ void Network::set_interceptor(Interceptor interceptor) {
   interceptor_ = std::move(interceptor);
 }
 
-void Network::bind_lanes(runtime::Transport& transport,
-                         std::function<std::size_t(NodeId)> lane_of,
-                         std::size_t batch, std::size_t inbox_capacity) {
+void Network::bind_lanes(runtime::ThreadedTransport& transport) {
   if (fabric_) throw std::logic_error{"sim: lanes already bound"};
   if (loss_rate_ > 0.0 || interceptor_)
     throw std::logic_error{
         "sim: fabric mode excludes loss/interceptors (chaos runs on the "
         "virtual-time oracle)"};
-  const std::size_t lanes = std::max<std::size_t>(transport.workers(), 1);
-  auto fabric = std::make_unique<Fabric>(lanes);
-  fabric->transport = &transport;
-  fabric->lane_of = std::move(lane_of);
-  fabric->batch = std::max<std::size_t>(batch, 1);
-  fabric->inboxes.reserve(lanes);
-  for (std::size_t i = 0; i < lanes; ++i)
-    fabric->inboxes.push_back(std::make_unique<LaneInbox>(inbox_capacity));
-  fabric->send_slots = std::vector<SendSlot>(lanes + 1);
-  fabric_ = std::move(fabric);
+  fabric_ = std::make_unique<Fabric>(transport.workers());
+  fabric_->transport = &transport;
 }
 
 void Network::send(NodeId from, NodeId to, Payload payload) {
@@ -240,92 +229,39 @@ void Network::schedule_delivery(NodeId from, NodeId to, Time delay,
   scheduler_.schedule_after(delay, [this, slot] { deliver(slot); });
 }
 
-void Network::count_outside_send(NodeId from, NodeId to, std::size_t size) {
-  Fabric& f = *fabric_;
-  const std::lock_guard lock{f.overflow_mutex};
-  LinkStats& stats = f.send_slots.back().links[key(from, to)];
-  ++stats.messages;
-  stats.bytes += size;
-}
-
 void Network::threaded_send(NodeId from, NodeId to, Payload payload,
                             const LinkTag& tag) {
   Fabric& f = *fabric_;
-  const std::size_t lanes = f.inboxes.size();
   const std::size_t size = payload.size() + tag.wire_bytes();
   const std::size_t self = runtime::current_lane();
-
   f.messages.add(self, 1);
   f.bytes.add(self, size);
-  if (self < lanes) {
-    LinkStats& stats = f.send_slots[self].links[key(from, to)];
+  {
+    const std::size_t i = std::min(self, f.slots.size() - 1);
+    std::unique_lock lock{f.overflow_mutex, std::defer_lock};
+    if (i + 1 == f.slots.size()) lock.lock();  // an outside thread
+    LinkStats& stats = f.slots[i].links[key(from, to)];
     ++stats.messages;
     stats.bytes += size;
-  } else {
-    count_outside_send(from, to, size);
   }
-
-  const std::size_t dst = f.lane_of(to) % lanes;
-  LaneInbox& inbox = *f.inboxes[dst];
-  Delivery d;
-  d.from = from;
-  d.to = to;
-  d.payload = std::move(payload);
-  d.tag = tag;
-  while (!inbox.ring.try_push(std::move(d))) {
-    // Full ring. The arming invariant guarantees its consumer is scheduled,
-    // so waiting is productive — but a cycle of lane workers all blocked on
-    // full rings would deadlock, so a worker makes room by help-draining
-    // its *own* inbox (it is that ring's only legal consumer) while it
-    // waits. Non-worker threads (setup traffic from main) just yield.
-    if (self < lanes) {
-      LaneInbox& mine = *f.inboxes[self];
-      Delivery head;
-      if (mine.ring.try_pop(head)) {
-        mine.pending.fetch_sub(1, std::memory_order_acq_rel);
-        ++mine.help_drained;
-        deliver_on_lane(mine, std::move(head));
-        continue;
-      }
-    }
-    std::this_thread::yield();
-  }
-  // Push-then-count: once the increment lands, the cell publish above is
-  // visible to whoever reads the counter (release/acquire RMW chain), so a
-  // drain task observing pending > 0 can always pop that many items.
-  if (inbox.pending.fetch_add(1, std::memory_order_acq_rel) == 0)
-    f.transport->post(dst, [this, dst] { drain_inbox(dst); });
+  // One frame, one 64-byte lane task on lane `to % workers`.
+  Delivery d{from, to, std::move(payload), tag};
+  f.transport->post(to, runtime::LaneTask{[this, d = std::move(d)] {
+                      deliver_on_lane(d);
+                    }});
 }
 
-void Network::drain_inbox(std::size_t lane) {
-  Fabric& f = *fabric_;
-  LaneInbox& inbox = *f.inboxes[lane];
-  std::size_t n = 0;
-  Delivery d;
-  while (n < f.batch && inbox.ring.try_pop(d)) {
-    ++n;
-    deliver_on_lane(inbox, std::move(d));
-  }
-  const std::int64_t left =
-      inbox.pending.fetch_sub(static_cast<std::int64_t>(n),
-                              std::memory_order_acq_rel) -
-      static_cast<std::int64_t>(n);
-  // Leftovers (batch cap hit, or items raced in after we saw empty): keep
-  // the arming invariant by rescheduling ourselves before retiring.
-  if (left > 0)
-    f.transport->post(lane, [this, lane] { drain_inbox(lane); });
-}
-
-void Network::deliver_on_lane(LaneInbox& inbox, Delivery d) {
+void Network::deliver_on_lane(const Delivery& d) {
+  LaneSlot& slot = fabric_->slots[runtime::current_lane()];
   // The handler table is lane-safe (see attach), so the lookup needs no lock.
   TaggedHandler* handler = handler_of(d.to);
   if (handler == nullptr) {
-    ++inbox.undeliverable;
+    ++slot.undeliverable;
     return;
   }
-  ++inbox.delivered;
-  if (d.to >= inbox.received.size()) inbox.received.resize(d.to + std::size_t{1});
-  ++inbox.received[d.to];
+  ++slot.delivered;
+  if (d.to >= slot.received.size()) slot.received.resize(d.to + std::size_t{1});
+  ++slot.received[d.to];
   (*handler)(d.from, d.payload, d.tag);
 }
 
@@ -356,28 +292,25 @@ std::uint64_t Network::total_bytes() const noexcept {
 std::uint64_t Network::delivered() const noexcept {
   if (!fabric_) return delivered_;
   std::uint64_t total = 0;
-  for (const auto& inbox : fabric_->inboxes) total += inbox->delivered;
+  for (const LaneSlot& slot : fabric_->slots) total += slot.delivered;
   return total;
 }
 
 std::uint64_t Network::undeliverable() const noexcept {
   if (!fabric_) return undeliverable_;
   std::uint64_t total = 0;
-  for (const auto& inbox : fabric_->inboxes) total += inbox->undeliverable;
+  for (const LaneSlot& slot : fabric_->slots) total += slot.undeliverable;
   return total;
 }
 
 std::uint64_t Network::help_drained() const noexcept {
-  if (!fabric_) return 0;
-  std::uint64_t total = 0;
-  for (const auto& inbox : fabric_->inboxes) total += inbox->help_drained;
-  return total;
+  return fabric_ ? fabric_->transport->stats().deferred : 0;
 }
 
 LinkStats Network::link(NodeId from, NodeId to) const noexcept {
   if (fabric_) {
     LinkStats merged;
-    for (const SendSlot& slot : fabric_->send_slots) {
+    for (const LaneSlot& slot : fabric_->slots) {
       const auto it = slot.links.find(key(from, to));
       if (it != slot.links.end()) {
         merged.messages += it->second.messages;
@@ -393,8 +326,8 @@ LinkStats Network::link(NodeId from, NodeId to) const noexcept {
 std::uint64_t Network::received_by(NodeId node) const noexcept {
   if (fabric_) {
     std::uint64_t total = 0;
-    for (const auto& inbox : fabric_->inboxes)
-      if (node < inbox->received.size()) total += inbox->received[node];
+    for (const LaneSlot& slot : fabric_->slots)
+      if (node < slot.received.size()) total += slot.received[node];
     return total;
   }
   return node < received_.size() ? received_[node] : 0;

@@ -24,8 +24,7 @@
 #include <vector>
 
 #include "cake/metrics/lane_counters.hpp"
-#include "cake/runtime/mpsc.hpp"
-#include "cake/runtime/transport.hpp"
+#include "cake/runtime/threaded.hpp"
 #include "cake/util/rng.hpp"
 #include "cake/wire/buffer.hpp"
 
@@ -208,9 +207,8 @@ public:
   [[nodiscard]] std::uint64_t delivered() const noexcept;
   /// Copies that reached an unattached (crashed/detached) node and vanished.
   [[nodiscard]] std::uint64_t undeliverable() const noexcept;
-  /// Fabric mode: deliveries a blocked sender popped from its *own* full
-  /// ring while waiting for room in the destination's (the help-drain path
-  /// that keeps a cycle of full rings from deadlocking). 0 in sim mode.
+  /// Fabric mode: the transport's `ThreadedStats::deferred`, posts a lane
+  /// worker parked in its outbox. 0 in sim mode.
   [[nodiscard]] std::uint64_t help_drained() const noexcept;
   /// Extra copies injected by the interceptor (beyond one per send).
   [[nodiscard]] std::uint64_t duplicated() const noexcept { return duplicated_; }
@@ -226,12 +224,11 @@ public:
   /// payload and its `wire_bytes()` are charged to the link accounting.
   void send(NodeId from, NodeId to, Payload payload, const LinkTag& tag);
 
-  /// Threaded delivery fabric (DESIGN.md §14). After binding, send() hands
-  /// the refcounted payload to the destination node's lane: each lane owns
-  /// a bounded MPSC inbox ring, and deliveries run as batched tasks posted
-  /// to that lane, so every handler stays serialized with the rest of its
-  /// lane's work (the single-writer invariant for node state). `lane_of`
-  /// must be pure and stable; it is reduced modulo `transport.workers()`.
+  /// Threaded delivery fabric (DESIGN.md §14). After binding, send() posts
+  /// each frame as one task on lane `to % transport.workers()`, so every
+  /// handler runs alone on its node's lane, serialized with the rest of
+  /// that lane's work (the single-writer invariant for node state), and
+  /// never inside another handler.
   ///
   /// Fabric-mode restrictions: virtual-time latency modelling, the loss
   /// process, and fault interceptors are sim-only (chaos runs on the
@@ -240,10 +237,7 @@ public:
   /// traffic flows (the handler table is lane-safe), and the accounting
   /// accessors give exact totals only at quiescence; the per-event
   /// counters underneath are per-lane slots aggregated at read.
-  void bind_lanes(runtime::Transport& transport,
-                  std::function<std::size_t(NodeId)> lane_of,
-                  std::size_t batch = 64, std::size_t inbox_capacity = 8192);
-  [[nodiscard]] bool lanes_bound() const noexcept { return fabric_ != nullptr; }
+  void bind_lanes(runtime::ThreadedTransport& transport);
 
   [[nodiscard]] std::uint64_t total_messages() const noexcept;
   [[nodiscard]] std::uint64_t total_bytes() const noexcept;
@@ -270,39 +264,20 @@ private:
     LinkTag tag;
   };
 
-  /// One executor lane's delivery inbox in fabric mode. The ring is MPSC
-  /// (any lane sends, only the owning lane's worker pops); `pending` is
-  /// items pushed minus items popped and carries the arming invariant:
-  /// whoever raises it from zero posts the drain task, and a drain task
-  /// that leaves it positive reposts itself — so pending > 0 always
-  /// implies a consumer is scheduled or running, and Transport::drain()
-  /// (which waits on posted tasks) cannot miss in-flight deliveries.
-  /// The plain fields are written only by the owning lane's worker and are
-  /// exact at quiescence.
-  struct alignas(64) LaneInbox {
-    explicit LaneInbox(std::size_t capacity) : ring(capacity) {}
-    runtime::BoundedMpscQueue<Delivery> ring;
-    std::atomic<std::int64_t> pending{0};
+  /// Fabric accounting: slot i is written only by lane i's worker, the
+  /// overflow slot (links only) by outside threads under `overflow_mutex`.
+  struct alignas(64) LaneSlot {
+    std::unordered_map<std::uint64_t, LinkStats> links;
     std::uint64_t delivered = 0;
     std::uint64_t undeliverable = 0;
-    std::uint64_t help_drained = 0;  ///< popped by the full-ring help path
     std::vector<std::uint64_t> received;  ///< by NodeId
   };
 
-  /// Send-side per-link accounting slot: slot i is written only by lane
-  /// i's worker, the overflow slot by non-worker threads under
-  /// `overflow_mutex`; merged at read.
-  struct alignas(64) SendSlot {
-    std::unordered_map<std::uint64_t, LinkStats> links;
-  };
-
   struct Fabric {
-    explicit Fabric(std::size_t lanes) : messages(lanes), bytes(lanes) {}
-    runtime::Transport* transport = nullptr;
-    std::function<std::size_t(NodeId)> lane_of;
-    std::size_t batch = 64;
-    std::vector<std::unique_ptr<LaneInbox>> inboxes;
-    std::vector<SendSlot> send_slots;  // workers + 1 overflow
+    explicit Fabric(std::size_t lanes)
+        : slots(lanes + 1), messages(lanes), bytes(lanes) {}
+    runtime::ThreadedTransport* transport = nullptr;
+    std::vector<LaneSlot> slots;  // workers + 1 overflow
     std::mutex overflow_mutex;  // several outside threads may send at once
     metrics::LaneCounter messages;
     metrics::LaneCounter bytes;
@@ -310,12 +285,7 @@ private:
 
   void threaded_send(NodeId from, NodeId to, Payload payload,
                      const LinkTag& tag);
-  /// Link accounting of a send from a thread that is not a lane worker.
-  /// Out of line so threaded_send's frame stays small: the full-ring
-  /// help-drain path recurses through it.
-  void count_outside_send(NodeId from, NodeId to, std::size_t size);
-  void drain_inbox(std::size_t lane);
-  void deliver_on_lane(LaneInbox& inbox, Delivery d);
+  void deliver_on_lane(const Delivery& d);
 
   /// The receive handler of `node`, or null when it is not attached.
   [[nodiscard]] TaggedHandler* handler_of(NodeId node) const noexcept {

@@ -10,6 +10,7 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <atomic>
 #include <cstdlib>
 #include <new>
@@ -535,9 +536,32 @@ TEST(AllocGuard, LocalBusPublishCostsAFixedSmallConstant) {
   EXPECT_EQ(delivered, 64 + 1 + 256);
 }
 
+// A lane task keeps its callable inline (DESIGN.md §11): a capture of the
+// full 64 bytes — the size of the fabric's {Network*, Delivery} frame task
+// — is stored, moved and run without touching the heap.
+TEST(AllocGuard, LaneTaskStoresASixtyFourByteCaptureWithoutAllocating) {
+  const std::array<std::uint64_t, 7> words{1, 2, 3, 4, 5, 6, 7};
+  std::uint64_t sum = 0;
+  const auto fn = [words, out = &sum] {
+    for (const std::uint64_t w : words) *out += w;
+  };
+  static_assert(sizeof(fn) == runtime::LaneTask::kInline);
+
+  const std::uint64_t before = news();
+  {
+    runtime::LaneTask task{fn};
+    runtime::LaneTask moved{std::move(task)};
+    runtime::LaneTask assigned;
+    assigned = std::move(moved);
+    assigned();
+  }
+  EXPECT_EQ(news() - before, 0u);
+  EXPECT_EQ(sum, 28u);
+}
+
 // Threaded fabric forward path (DESIGN.md §14): the cross-lane handoff —
-// ring push, pending counter, batched drain task — rides on pooled frames
-// and SBO-sized closures, so its overhead over the zero-alloc sim forward
+// one lane task per frame, its capture held inline in the lane's queue —
+// rides on pooled frames, so its overhead over the zero-alloc sim forward
 // path must stay under 0.25 allocations per event. The interposer counts
 // across every thread (g_news is atomic), so the budget covers the whole
 // pipeline: main-thread sends, the broker lane's forwards, the sink lane's
@@ -549,9 +573,7 @@ TEST(AllocGuard, ThreadedFabricForwardOverheadStaysUnderQuarterAllocPerEvent) {
   runtime::ThreadedTransport transport{};
   sim::Scheduler scheduler;  // fabric mode never runs it; Network wants one
   sim::Network network{scheduler, 10};
-  network.bind_lanes(transport, [&transport](sim::NodeId node) {
-    return static_cast<std::size_t>(node) % transport.workers();
-  });
+  network.bind_lanes(transport);
 
   routing::BrokerConfig config;
   config.auto_renew = false;

@@ -198,6 +198,26 @@ TEST_F(BrokerTest, EventForwardingMatchesAndFansOut) {
   EXPECT_EQ(stats.events_forwarded, 2u);
 }
 
+// An event frame that repeats an attribute name is malformed: a counting
+// index would count (a, 1) twice and complete `a == 1 && b == 2` with no b
+// at all. The broker drops the frame and counts it, forwarding nothing.
+TEST_F(BrokerTest, EventFrameRepeatingAnAttributeNameIsDroppedAsMalformed) {
+  Broker& broker = make_broker(1);
+  send(kSub1, Subscribe{FilterBuilder{"Ghost"}
+                            .where("a", Op::Eq, Value{1})
+                            .where("b", Op::Eq, Value{2})
+                            .build(),
+                        kSub1, 1});
+  sub1_->clear();
+
+  send(kParent, EventMsg{event::EventImage{
+                    "Ghost", {{"a", Value{1}}, {"a", Value{1}}}}});
+  EXPECT_TRUE(sub1_->of<EventMsg>().empty());
+  const BrokerStats stats = broker.stats();
+  EXPECT_EQ(stats.malformed_packets, 1u);
+  EXPECT_EQ(stats.events_forwarded, 0u);
+}
+
 TEST_F(BrokerTest, EventMatchingMultipleEntriesDeliversOncePerChild) {
   Broker& broker = make_broker(1);
   // Two different filters for the same subscriber, both matching one event.

@@ -243,7 +243,7 @@ TEST_F(EventTest, AttributeKeyIsSetByDecodeIntoAWarmImageWhoseKindsChange) {
   for (const auto& values : rounds) {
     std::vector<ImageAttribute> attrs;
     for (std::size_t i = 0; i < values.size(); ++i)
-      attrs.push_back({i % 2 == 0 ? "a" : "b", values[i]});
+      attrs.push_back({std::string(1, static_cast<char>('a' + i)), values[i]});
     const EventImage source{"Ghost", std::move(attrs)};
     wire::Writer w;
     source.encode(w);
@@ -252,6 +252,17 @@ TEST_F(EventTest, AttributeKeyIsSetByDecodeIntoAWarmImageWhoseKindsChange) {
     EXPECT_EQ(warm, source);
     expect_keys_current(warm);
   }
+}
+
+TEST_F(EventTest, DecodeIntoRejectsARepeatedAttributeName) {
+  const EventImage source{"Ghost", {{"a", value::Value{1}},
+                                    {"b", value::Value{2}},
+                                    {"a", value::Value{1}}}};
+  wire::Writer w;
+  source.encode(w);
+  EventImage image;
+  wire::Reader r{w.bytes()};
+  EXPECT_THROW(image.decode_into(r), wire::WireError);
 }
 
 }  // namespace

@@ -1,12 +1,13 @@
-// Flooded-fabric stress (DESIGN.md §15): deliberately undersized LaneInbox
-// rings under a self-amplifying cross-lane storm. The full-ring path has
-// exactly one escape hatch — a blocked lane worker help-drains its *own*
-// inbox while it waits for room in the destination's — and this test forces
-// that path hot: two lanes ping-pong an exponentially amplified relay storm
-// through rings of 8 slots, and every message must still be delivered
-// exactly once (the fabric blocks, it never drops). Outside threads that
-// find a ring full just wait; they get the same exactly-once, in-order
-// guarantee.
+// Flooded-fabric stress (DESIGN.md §15): deliberately undersized lane
+// queues under a self-amplifying cross-lane storm. The full-queue path has
+// exactly one rule — a lane worker that finds its target queue full parks
+// the frame in its own outbox and flushes it before its next pop, so it
+// never waits and never runs a handler inside another — and these tests
+// force that path hot: two lanes ping-pong an exponentially amplified
+// relay storm through queues of 8 (and of 2) slots, and every message must
+// still be delivered exactly once (the fabric defers, it never drops).
+// Outside threads that find a queue full just wait; they get the same
+// exactly-once, in-order guarantee.
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
@@ -22,49 +23,75 @@
 namespace cake::transport_tests {
 namespace {
 
-TEST(FabricFlood, FullRingsForceHelpDrainingAndLoseNothing) {
+/// Two relay nodes, 0 on lane 0 and 1 on lane 1, on a 2-worker transport
+/// whose lane queues hold `capacity` tasks. Each delivery re-sends to the
+/// opposite node twice while the relay budget lasts: the storm grows 2x
+/// per hop, so both queues saturate from *inside* the workers — the shape
+/// that deadlocks unless a worker can set a frame aside without waiting.
+/// Every relay also tracks how deeply handlers nest on its thread.
+struct RelayStorm {
+  static constexpr std::uint64_t kSeeds = 64;
+
+  RelayStorm(std::size_t capacity, std::int64_t relays)
+      : transport{runtime::ThreadedOptions{.queue_capacity = capacity,
+                                           .batch = 4}},
+        relays{relays} {
+    network.bind_lanes(transport);
+    for (sim::NodeId self = 0; self < 2; ++self)
+      network.attach(self, [this, self](sim::NodeId,
+                                        const sim::Network::Payload& p) {
+        thread_local int depth = 0;
+        ++depth;
+        int seen = max_depth.load();
+        while (depth > seen && !max_depth.compare_exchange_weak(seen, depth)) {
+        }
+        for (int copy = 0; copy < 2; ++copy)
+          if (budget.fetch_sub(1, std::memory_order_acq_rel) > 0)
+            network.send(self, self == 0 ? 1 : 0, p);
+        --depth;
+      });
+  }
+
+  void run() {
+    const wire::Frame frame{std::byte{0x5A}};
+    for (std::uint64_t i = 0; i < kSeeds; ++i)
+      network.send(2, i % 2, frame);  // main-thread seeds, both lanes
+    transport.drain();
+  }
+
   EnvGuard guard{"CAKE_THREADS", "2"};
-  runtime::ThreadedTransport transport{};
-  ASSERT_EQ(transport.workers(), 2u);
+  runtime::ThreadedTransport transport;
   sim::Scheduler scheduler;  // fabric mode never runs it; Network wants one
   sim::Network network{scheduler, 10};
-  // Rings of 8 slots against a storm thousands deep: pushes must block on
-  // full rings constantly, and blocked workers must help-drain to make
-  // progress instead of deadlocking on each other.
-  network.bind_lanes(
-      transport,
-      [](sim::NodeId node) { return static_cast<std::size_t>(node) % 2; },
-      /*batch=*/4, /*inbox_capacity=*/8);
+  std::int64_t relays;
+  std::atomic<std::int64_t> budget{relays};
+  std::atomic<int> max_depth{0};
+};
 
-  // Node 0 lives on lane 0, node 1 on lane 1. Each delivery re-sends to
-  // the opposite node twice while the relay budget lasts: the storm grows
-  // 2x per hop, so both rings saturate from *inside* the workers — the
-  // exact shape that deadlocks without the help-drain escape.
-  constexpr std::int64_t kRelays = 20'000;
-  constexpr std::uint64_t kSeeds = 64;
-  std::atomic<std::int64_t> budget{kRelays};
-  const wire::Frame frame{std::byte{0x5A}};
-  const auto relay = [&](sim::NodeId self) {
-    return [&network, &budget, self](sim::NodeId,
-                                     const sim::Network::Payload& p) {
-      for (int copy = 0; copy < 2; ++copy)
-        if (budget.fetch_sub(1, std::memory_order_acq_rel) > 0)
-          network.send(self, self == 0 ? 1 : 0, p);
-    };
-  };
-  network.attach(0, relay(0));
-  network.attach(1, relay(1));
-
-  for (std::uint64_t i = 0; i < kSeeds; ++i)
-    network.send(2, i % 2, frame);  // main-thread seeds, both lanes
-  transport.drain();
+TEST(FabricFlood, FullQueuesDeferToOutboxesAndLoseNothing) {
+  RelayStorm storm{8, 20'000};
+  ASSERT_EQ(storm.transport.workers(), 2u);
+  storm.run();
 
   // Conservation: every seed and every budgeted relay was delivered
   // exactly once — the flood shed nothing, duplicated nothing.
-  EXPECT_EQ(network.delivered(), kSeeds + kRelays);
-  EXPECT_EQ(network.undeliverable(), 0u);
-  // The storm actually exercised the full-ring path, not just grazed it.
-  EXPECT_GT(network.help_drained(), 0u);
+  EXPECT_EQ(storm.network.delivered(), RelayStorm::kSeeds + storm.relays);
+  EXPECT_EQ(storm.network.undeliverable(), 0u);
+  // The storm actually exercised the full-queue path, not just grazed it.
+  EXPECT_GT(storm.network.help_drained(), 0u);
+  EXPECT_EQ(storm.network.help_drained(), storm.transport.stats().deferred);
+}
+
+// A handler runs to completion before its lane runs anything else: through
+// two-slot queues the storm is full-queue almost every send, and its last
+// generations hold tens of thousands of frames in flight, yet no relay
+// ever starts while another runs on the same thread.
+TEST(FabricFlood, TwoSlotQueuesNeverRunAHandlerInsideAnother) {
+  RelayStorm storm{2, 200'000};
+  ASSERT_EQ(storm.transport.workers(), 2u);
+  storm.run();
+  EXPECT_EQ(storm.max_depth.load(), 1);
+  EXPECT_EQ(storm.network.delivered(), RelayStorm::kSeeds + storm.relays);
 }
 
 // Nodes join a fabric that already carries traffic (Overlay::add_subscriber
@@ -79,9 +106,7 @@ TEST(FabricFlood, AttachWhileLanesDeliverMovesNothingALaneReads) {
   ASSERT_EQ(transport.workers(), 2u);
   sim::Scheduler scheduler;
   sim::Network network{scheduler, 10};
-  network.bind_lanes(transport, [](sim::NodeId node) {
-    return static_cast<std::size_t>(node) % 2;
-  });
+  network.bind_lanes(transport);  // node n on lane n % 2
 
   constexpr std::int64_t kRelays = 50'000;
   constexpr std::uint64_t kSeeds = 8;
@@ -115,7 +140,7 @@ TEST(FabricFlood, AttachWhileLanesDeliverMovesNothingALaneReads) {
 }
 
 // Several outside threads (not lane workers) feed one fabric at once
-// through rings of 8 slots drained 4 at a time. Each frame carries a
+// through lane queues of 8 slots drained 4 at a time. Each frame carries a
 // unique (sender, receiver, sequence) tag, and each receiver records what
 // it sees; the receivers run on their own lanes, so each record is
 // written by one thread only.
@@ -137,10 +162,7 @@ public:
   }
 
   OutsideSenders() {
-    network_.bind_lanes(
-        transport_,
-        [](sim::NodeId node) { return static_cast<std::size_t>(node) % 2; },
-        /*batch=*/4, /*inbox_capacity=*/8);
+    network_.bind_lanes(transport_);  // node n on lane n % 2
     for (int r = 0; r < kReceivers; ++r)
       network_.attach(static_cast<sim::NodeId>(r),
                       [this, r](sim::NodeId, const sim::Network::Payload& p) {
@@ -175,7 +197,8 @@ public:
 
 private:
   EnvGuard guard_{"CAKE_THREADS", "2"};
-  runtime::ThreadedTransport transport_{};
+  runtime::ThreadedTransport transport_{
+      runtime::ThreadedOptions{.queue_capacity = 8, .batch = 4}};
   sim::Scheduler scheduler_;  // fabric mode never runs it; Network wants one
   sim::Network network_{scheduler_, 10};
   std::vector<Tag> seen_[kReceivers];

@@ -6,6 +6,11 @@
 // reproduce it while TSan watches (this file carries the blocking
 // `threaded` ctest label).
 //
+// Every closure the workload runs on a lane (publishes, subscriber
+// callbacks, the reads after quiescence) also counts how deeply such work
+// nests on its thread: a lane runs one task at a time, to completion, so
+// the depth must never pass 1, however small the lane queues are.
+//
 // What is deliberately NOT compared: anything arrival-order dependent.
 // Join redirects draw from each broker's rng, so with fan-out > 1 the
 // *hosting leaf* of a subscription may differ across backends — the
@@ -13,6 +18,7 @@
 // deterministic), and on a chain topology (fan-out 1) the full table
 // contents must match byte for byte.
 #include <algorithm>
+#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -46,6 +52,27 @@ constexpr SubSpec kSubs[] = {
 constexpr const char* kSymbols[] = {"AAA", "BBB", "CCC", "DDD"};
 constexpr int kEvents = 240;
 
+/// Deepest nesting of lane work seen on any thread in the current run.
+std::atomic<int> g_max_depth{0};
+
+/// Marks one closure running on a lane for the run's nesting count.
+class DepthProbe {
+public:
+  DepthProbe() {
+    const int now = ++depth_;
+    int seen = g_max_depth.load();
+    while (now > seen && !g_max_depth.compare_exchange_weak(seen, now)) {
+    }
+  }
+  ~DepthProbe() { --depth_; }
+  DepthProbe(const DepthProbe&) = delete;
+  DepthProbe& operator=(const DepthProbe&) = delete;
+
+private:
+  static thread_local int depth_;
+};
+thread_local int DepthProbe::depth_ = 0;
+
 /// Order-independent observables of one workload run.
 struct RunResult {
   std::vector<std::vector<std::int64_t>> delivered;  // per subscriber, sorted
@@ -55,6 +82,8 @@ struct RunResult {
   std::uint64_t fabric_undeliverable = 0;
   std::vector<SubscriberNode::SubscriptionView> views;  // all subscribers
   std::vector<sim::NodeId> view_owner;                  // parallel to views
+  int max_depth = 0;  ///< deepest nesting of lane closures on one thread
+  std::uint64_t deferred = 0;  ///< posts a lane worker parked in its outbox
 };
 
 OverlayConfig conformance_config(OverlayBackend backend,
@@ -110,10 +139,18 @@ std::string canonical_table(Broker& broker) {
   return out;
 }
 
+/// `queue_capacity` 0 keeps the ThreadedOptions default; `credit` turns on
+/// receiver credit on reliable links.
 RunResult run_workload(OverlayBackend backend, link::Reliability reliability,
-                       std::vector<std::size_t> stages) {
+                       std::vector<std::size_t> stages,
+                       std::size_t queue_capacity = 0, bool credit = false) {
   workload::ensure_types_registered();
-  Overlay overlay{conformance_config(backend, reliability, std::move(stages))};
+  OverlayConfig config =
+      conformance_config(backend, reliability, std::move(stages));
+  if (queue_capacity > 0) config.threaded.queue_capacity = queue_capacity;
+  config.link.credit = credit;
+  g_max_depth = 0;
+  Overlay overlay{std::move(config)};
 
   PublisherNode& pub_a = overlay.add_publisher();
   PublisherNode& pub_b = overlay.add_publisher();
@@ -138,6 +175,7 @@ RunResult run_workload(OverlayBackend backend, link::Reliability reliability,
                         .where("price", Op::Lt, Value{kSubs[s].max_price})
                         .build(),
                     [sink](const event::EventImage& e) {
+                      const DepthProbe probe;
                       sink->push_back(e.find("volume")->as_int());
                     });
     });
@@ -149,6 +187,7 @@ RunResult run_workload(OverlayBackend backend, link::Reliability reliability,
     const double price = static_cast<double>((i * 7) % 101);
     PublisherNode& pub = (i % 2 == 0) ? pub_a : pub_b;
     overlay.post_on(pub.id(), [&pub, symbol, price, i] {
+      const DepthProbe probe;
       pub.publish(event::image_of(workload::Stock{symbol, price, i}));
     });
   }
@@ -159,6 +198,7 @@ RunResult run_workload(OverlayBackend backend, link::Reliability reliability,
     // Read on the owning lane: the sink and the subscription views belong
     // to the subscriber's single-writer state.
     overlay.run_on(subs[s]->id(), [&, s] {
+      const DepthProbe probe;
       std::vector<std::int64_t> sorted = sinks[s];
       std::sort(sorted.begin(), sorted.end());
       result.delivered.push_back(std::move(sorted));
@@ -182,6 +222,8 @@ RunResult run_workload(OverlayBackend backend, link::Reliability reliability,
     result.fabric_delivered = overlay.network().delivered();
     result.fabric_undeliverable = overlay.network().undeliverable();
   }
+  result.max_depth = g_max_depth.load();
+  result.deferred = overlay.network().help_drained();
   return result;
 }
 
@@ -241,6 +283,35 @@ TEST(OverlayConformance, DeliveryMultisetMatchesSimOracleReliable) {
       OverlayBackend::Threaded, link::Reliability::Reliable, {1, 2, 4});
   EXPECT_EQ(sim.delivered, expected_deliveries());
   EXPECT_EQ(threaded.delivered, sim.delivered);
+}
+
+// The smallest lane queue: nearly every publish, forward and delivery finds
+// its target queue full and waits in an outbox. Deliveries still match the
+// Sim control, and no lane closure ever runs inside another.
+TEST(OverlayConformance, TwoSlotLaneQueuesNeverNestAndMatchSimOracle) {
+  const RunResult sim = run_workload(OverlayBackend::Sim,
+                                     link::Reliability::BestEffort, {1, 2, 4});
+  const RunResult threaded =
+      run_workload(OverlayBackend::Threaded, link::Reliability::BestEffort,
+                   {1, 2, 4}, /*queue_capacity=*/2);
+  EXPECT_EQ(threaded.delivered, sim.delivered);
+  EXPECT_EQ(threaded.max_depth, 1);
+  EXPECT_GT(threaded.deferred, 0u);
+}
+
+// Reliable links with receiver credit through small lane queues: credit
+// grants, ACKs and events all cross lanes as deferred frames, and the
+// multiset still matches the Sim control run with the same links.
+TEST(OverlayConformance, ReliableCreditThroughSmallLaneQueuesMatchesSimOracle) {
+  const RunResult sim =
+      run_workload(OverlayBackend::Sim, link::Reliability::Reliable, {1, 2, 4},
+                   /*queue_capacity=*/0, /*credit=*/true);
+  const RunResult threaded =
+      run_workload(OverlayBackend::Threaded, link::Reliability::Reliable,
+                   {1, 2, 4}, /*queue_capacity=*/8, /*credit=*/true);
+  EXPECT_EQ(sim.delivered, expected_deliveries());
+  EXPECT_EQ(threaded.delivered, sim.delivered);
+  EXPECT_EQ(threaded.max_depth, 1);
 }
 
 TEST(OverlayConformance, ChainTopologyTablesReachTheSameFixpoint) {

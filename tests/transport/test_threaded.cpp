@@ -223,22 +223,29 @@ TEST(ThreadedTransportTest, ForeignPostersBlockedOnAFullLaneLoseNothing) {
     ASSERT_EQ(runs[i].load(), 1) << "task " << i;
 }
 
-// A worker posting to its own full lane is that queue's consumer, so it
-// makes room by running the head task inline (ThreadedTransport::enqueue).
-// 500 posts through a 64-slot ring force that path hundreds of times; the
-// tasks still run exactly once each, in submission order.
+// A worker never waits for room and never runs a task inside another: a
+// post that finds its lane full goes to the worker's outbox, and so does
+// every later post while the outbox holds one (ThreadedTransport::enqueue).
+// The worker flushes the outbox before each pop. 500 posts from inside a
+// task through a 64-slot ring fill the ring with the first 64 and defer
+// the other 436; the tasks still run exactly once each, in post order.
 TEST(ThreadedTransportTest, WorkerPostingPastItsOwnFullLaneKeepsOrder) {
   constexpr int kTasks = 500;
+  constexpr int kCapacity = 64;
   ThreadedTransport transport{
-      ThreadedOptions{.workers = 1, .queue_capacity = 64}};
+      ThreadedOptions{.workers = 1, .queue_capacity = kCapacity}};
   std::vector<int> order;  // touched only on the lane, read after drain
   transport.post([&transport, &order] {
     for (int i = 0; i < kTasks; ++i)
       transport.post([&order, i] { order.push_back(i); });
+    order.push_back(-1);  // the poster finishes before any task it posted
   });
   transport.drain();
-  ASSERT_EQ(order.size(), static_cast<std::size_t>(kTasks));
-  for (int i = 0; i < kTasks; ++i) ASSERT_EQ(order[i], i);
+  ASSERT_EQ(order.size(), static_cast<std::size_t>(kTasks) + 1);
+  EXPECT_EQ(order[0], -1);
+  for (int i = 0; i < kTasks; ++i) ASSERT_EQ(order[i + 1], i);
+  EXPECT_EQ(transport.stats().deferred,
+            static_cast<std::uint64_t>(kTasks - kCapacity));
 }
 
 TEST(ThreadedTransportTest, BatchNeverExceedsConfiguredLimit) {
