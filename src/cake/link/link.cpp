@@ -112,6 +112,39 @@ void LinkManager::reset() {
   tx_.clear();
   rx_.clear();
   watches_.clear();
+  peers_.clear();
+}
+
+LinkManager::TxState& LinkManager::tx_of(sim::NodeId peer) {
+  PeerRefs& refs = peers_.try_emplace(peer);
+  if (refs.tx == nullptr) refs.tx = &tx_[peer];
+  return *refs.tx;
+}
+
+LinkManager::RxState& LinkManager::rx_of(sim::NodeId peer) {
+  PeerRefs& refs = peers_.try_emplace(peer);
+  if (refs.rx == nullptr) refs.rx = &rx_[peer];
+  return *refs.rx;
+}
+
+LinkManager::WatchState& LinkManager::watch_of(sim::NodeId peer) {
+  PeerRefs& refs = peers_.try_emplace(peer);
+  if (refs.watch == nullptr) refs.watch = &watches_[peer];
+  return *refs.watch;
+}
+
+void LinkManager::drop(sim::NodeId peer, bool keep_watch) {
+  PeerRefs* refs = peers_.find(peer);
+  if (refs == nullptr) return;
+  tx_.erase(peer);
+  rx_.erase(peer);
+  refs->tx = nullptr;
+  refs->rx = nullptr;
+  if (!keep_watch) {
+    watches_.erase(peer);
+    refs->watch = nullptr;
+  }
+  if (refs->watch == nullptr) peers_.erase(peer);
 }
 
 void LinkManager::send_control(sim::NodeId to, Payload payload) {
@@ -127,7 +160,7 @@ void LinkManager::enqueue(sim::NodeId to, Payload payload, bool event) {
     network_.send(id_, to, std::move(payload));
     return;
   }
-  TxState& tx = tx_[to];
+  TxState& tx = tx_of(to);
   if (tx.session == 0) {
     tx.session = next_session_++;
     tx.credit_limit = options_.credit_window;  // implicit initial grant
@@ -192,10 +225,10 @@ void LinkManager::transmit(sim::NodeId to, TxState& tx, std::uint64_t seq) {
   tag.session = tx.session;
   tag.seq = seq;
   // Piggyback the cumulative ack for the reverse stream, if one exists.
-  if (const auto it = rx_.find(to); it != rx_.end() && it->second.synced) {
-    tag.ack = it->second.delivered;
-    tag.ack_session = it->second.session;
-    it->second.ack_armed = false;  // the pending standalone ack is covered
+  if (RxState* rx = refs(to).rx; rx != nullptr && rx->synced) {
+    tag.ack = rx->delivered;
+    tag.ack_session = rx->session;
+    rx->ack_armed = false;  // the pending standalone ack is covered
   }
   network_.send(id_, to, tx.window[seq % options_.window].payload, tag);
 }
@@ -243,11 +276,10 @@ void LinkManager::reset_stream(sim::NodeId peer, TxState& tx) {
 }
 
 void LinkManager::redirect(sim::NodeId from, sim::NodeId to) {
-  const auto it = tx_.find(from);
-  if (it == tx_.end()) return;
-  TxState tx = std::move(it->second);
-  tx_.erase(it);
-  rx_.erase(from);
+  TxState* found = refs(from).tx;
+  if (found == nullptr) return;
+  TxState tx = std::move(*found);
+  drop(from, /*keep_watch=*/true);
   for (std::uint64_t seq = tx.acked + 1; seq < tx.next_seq; ++seq) {
     TxFrame& frame = tx.window[seq % options_.window];
     enqueue(to, std::move(frame.payload), frame.event);
@@ -258,42 +290,35 @@ void LinkManager::redirect(sim::NodeId from, sim::NodeId to) {
     enqueue(to, std::move(frame.payload), frame.event);
 }
 
-void LinkManager::forget(sim::NodeId peer) {
-  tx_.erase(peer);
-  rx_.erase(peer);
-  watches_.erase(peer);
-}
+void LinkManager::forget(sim::NodeId peer) { drop(peer, /*keep_watch=*/false); }
 
 std::size_t LinkManager::in_flight(sim::NodeId peer) const noexcept {
-  const auto it = tx_.find(peer);
-  if (it == tx_.end()) return 0;
-  return unacked(it->second) + it->second.pending_ctrl.size() +
-         it->second.pending_events.size();
+  const TxState* tx = refs(peer).tx;
+  if (tx == nullptr) return 0;
+  return unacked(*tx) + tx->pending_ctrl.size() + tx->pending_events.size();
 }
 
 std::size_t LinkManager::queued_events(sim::NodeId peer) const noexcept {
-  const auto it = tx_.find(peer);
-  return it == tx_.end() ? 0 : it->second.pending_events.size();
+  const TxState* tx = refs(peer).tx;
+  return tx == nullptr ? 0 : tx->pending_events.size();
 }
 
 bool LinkManager::credit_starved(sim::NodeId peer) const noexcept {
   if (!options_.credit) return false;
-  const auto it = tx_.find(peer);
-  if (it == tx_.end()) return false;
-  const TxState& tx = it->second;
-  return !tx.pending_events.empty() && unacked(tx) < options_.window &&
-         !event_admissible(tx);
+  const TxState* tx = refs(peer).tx;
+  return tx != nullptr && !tx->pending_events.empty() &&
+         unacked(*tx) < options_.window && !event_admissible(*tx);
 }
 
 std::vector<LinkManager::Payload> LinkManager::take_pending_events(
     sim::NodeId peer) {
   std::vector<Payload> taken;
-  const auto it = tx_.find(peer);
-  if (it == tx_.end()) return taken;
-  taken.reserve(it->second.pending_events.size());
-  for (TxFrame& frame : it->second.pending_events)
+  TxState* tx = refs(peer).tx;
+  if (tx == nullptr) return taken;
+  taken.reserve(tx->pending_events.size());
+  for (TxFrame& frame : tx->pending_events)
     taken.push_back(std::move(frame.payload));
-  it->second.pending_events.clear();
+  tx->pending_events.clear();
   return taken;
 }
 
@@ -304,90 +329,90 @@ void LinkManager::set_credit_paused(bool paused) {
 }
 
 LinkManager::TxMark LinkManager::tx_mark(sim::NodeId peer) const noexcept {
-  const auto it = tx_.find(peer);
-  if (it == tx_.end()) return {};
-  const TxState& tx = it->second;
+  const TxState* tx = refs(peer).tx;
+  if (tx == nullptr) return {};
   // Queued frames have no sequence yet, but every accepted frame will take
   // one of the next queued-count sequences (shedding happens before
   // queueing, so nothing accepted is ever skipped).
-  return {tx.session, tx.next_seq - 1 + tx.pending_ctrl.size() +
-                          tx.pending_events.size()};
+  return {tx->session, tx->next_seq - 1 + tx->pending_ctrl.size() +
+                           tx->pending_events.size()};
 }
 
 bool LinkManager::tx_reached(sim::NodeId peer, TxMark mark) const noexcept {
   if (mark.session == 0) return true;  // empty stream at mark time
-  const auto it = tx_.find(peer);
-  if (it == tx_.end()) return true;  // stream forgotten wholesale
-  const TxState& tx = it->second;
-  if (tx.session != mark.session) return false;  // reset since the mark
-  return tx.acked >= mark.seq;
+  const TxState* tx = refs(peer).tx;
+  if (tx == nullptr) return true;  // stream forgotten wholesale
+  if (tx->session != mark.session) return false;  // reset since the mark
+  return tx->acked >= mark.seq;
 }
 
 void LinkManager::on_network(sim::NodeId from, const Payload& payload,
                              const sim::LinkTag& tag) {
-  note_heard(from);
+  const PeerRefs peer = refs(from);
+  if (WatchState* w = peer.watch) {
+    w->last_heard = transport_.now();
+    w->misses = 0;
+    w->dead = false;  // a revived peer speaks for itself
+  }
   switch (wire::frame_tag(payload)) {
-    case kAckTag: {
+    case kAckTag:
+    case kNackTag:
+    case kHeartbeatTag:
+    case kCreditTag:
       try {
         wire::Reader r{wire::unframe_once(payload)};
-        (void)r.u8();  // tag
-        handle_ack(from, r);
+        handle_control(from, peer.tx, r);
       } catch (const wire::WireError&) {
       }
       return;  // link control never reaches the node above
-    }
-    case kNackTag: {
-      try {
-        wire::Reader r{wire::unframe_once(payload)};
-        (void)r.u8();
-        handle_nack(from, r);
-      } catch (const wire::WireError&) {
-      }
-      return;
-    }
-    case kHeartbeatTag: {
-      try {
-        wire::Reader r{wire::unframe_once(payload)};
-        (void)r.u8();
-        handle_heartbeat(from, r);
-      } catch (const wire::WireError&) {
-      }
-      return;
-    }
-    case kCreditTag: {
-      try {
-        wire::Reader r{wire::unframe_once(payload)};
-        (void)r.u8();
-        handle_credit(from, r);
-      } catch (const wire::WireError&) {
-      }
-      return;
-    }
     default: break;
   }
-  if (tag.present && tag.ack != 0) {
-    if (const auto it = tx_.find(from); it != tx_.end())
-      advance_ack(from, it->second, tag.ack_session, tag.ack);
-  }
+  // The ack below only sends, so `peer` stays valid until deliver_ runs.
+  if (tag.present && tag.ack != 0 && peer.tx != nullptr)
+    advance_ack(from, *peer.tx, tag.ack_session, tag.ack);
   if (!tag.present || tag.seq == 0) {
     // Untagged traffic from a best-effort peer passes straight through.
     deliver_(from, payload);
     return;
   }
-  rx_data(from, payload, tag);
+  rx_data(from, peer.rx != nullptr ? *peer.rx : rx_of(from), payload, tag);
 }
 
-void LinkManager::note_heard(sim::NodeId from) {
-  const auto it = watches_.find(from);
-  if (it == watches_.end()) return;
-  it->second.last_heard = transport_.now();
-  it->second.misses = 0;
-  it->second.dead = false;  // a revived peer speaks for itself
+void LinkManager::handle_control(sim::NodeId from, TxState* tx,
+                                 wire::Reader& r) {
+  switch (r.u8()) {
+    case kAckTag: {
+      const Ack ack = decode_ack_fields(r);
+      if (tx != nullptr) advance_ack(from, *tx, ack.session, ack.cum);
+      return;
+    }
+    case kNackTag: {
+      const Nack nack = decode_nack_fields(r);
+      if (tx != nullptr) handle_nack(from, *tx, nack);
+      return;
+    }
+    case kHeartbeatTag: {
+      const Heartbeat hb = decode_heartbeat_fields(r);
+      if (hb.reply) return;  // pong: arrival already credited the watch
+      ++counters_.heartbeats_sent;
+      network_.send(id_, from,
+                    frame_control(kHeartbeatTag, Heartbeat{0, hb.nonce, true}));
+      return;
+    }
+    case kCreditTag: {
+      const Credit credit = decode_credit_fields(r);
+      if (tx == nullptr || credit.session != tx->session) return;  // stale
+      if (credit.limit <= tx->credit_limit) return;  // reordered / duplicate
+      tx->credit_limit = credit.limit;
+      drain_pending(from, *tx);
+      return;
+    }
+    default: return;
+  }
 }
 
-void LinkManager::rx_data(sim::NodeId from, const Payload& payload,
+void LinkManager::rx_data(sim::NodeId from, RxState& rx, const Payload& payload,
                           const sim::LinkTag& tag) {
-  RxState& rx = rx_[from];
   if (rx.synced && tag.session < rx.session) {
     // A late duplicate from a superseded stream (sessions are monotonic per
     // sender, and survive resets). Adopting it would wipe the live stream's
@@ -452,9 +477,9 @@ void LinkManager::rx_data(sim::NodeId from, const Payload& payload,
 
 void LinkManager::release_in_order(sim::NodeId from) {
   for (;;) {
-    const auto it = rx_.find(from);
-    if (it == rx_.end() || it->second.hold.empty()) return;
-    RxState& rx = it->second;
+    RxState* found = refs(from).rx;
+    if (found == nullptr || found->hold.empty()) return;
+    RxState& rx = *found;
     HoldSlot& slot = rx.hold[(rx.delivered + 1) % hold_capacity()];
     if (!slot.present || slot.seq != rx.delivered + 1) return;
     const Payload payload = std::move(slot.payload);
@@ -489,13 +514,12 @@ void LinkManager::arm_ack(sim::NodeId peer, RxState& rx) {
 
 void LinkManager::flush_ack(sim::NodeId peer) {
   if (detached_) return;
-  const auto it = rx_.find(peer);
-  if (it == rx_.end() || !it->second.ack_armed) return;
-  it->second.ack_armed = false;
+  RxState* rx = refs(peer).rx;
+  if (rx == nullptr || !rx->ack_armed) return;
+  rx->ack_armed = false;
   ++counters_.acks_sent;
-  network_.send(
-      id_, peer,
-      frame_control(kAckTag, Ack{it->second.session, it->second.delivered}));
+  network_.send(id_, peer,
+                frame_control(kAckTag, Ack{rx->session, rx->delivered}));
 }
 
 void LinkManager::arm_retransmit(sim::NodeId peer, TxState& tx) {
@@ -508,9 +532,9 @@ void LinkManager::arm_retransmit(sim::NodeId peer, TxState& tx) {
 }
 
 void LinkManager::on_retransmit_timer(sim::NodeId peer) {
-  const auto it = tx_.find(peer);
-  if (it == tx_.end()) return;
-  TxState& tx = it->second;
+  TxState* found = refs(peer).tx;
+  if (found == nullptr) return;
+  TxState& tx = *found;
   if (!tx.timer_armed) return;
   if (detached_ || unacked(tx) == 0) {
     tx.timer_armed = false;
@@ -545,7 +569,7 @@ sim::Time LinkManager::rto(const TxState& tx) {
 }
 
 void LinkManager::watch(sim::NodeId peer) {
-  WatchState& w = watches_[peer];
+  WatchState& w = watch_of(peer);
   w.watched = true;
   w.dead = false;
   w.misses = 0;
@@ -554,18 +578,17 @@ void LinkManager::watch(sim::NodeId peer) {
 }
 
 void LinkManager::unwatch(sim::NodeId peer) {
-  const auto it = watches_.find(peer);
-  if (it != watches_.end()) it->second.watched = false;
+  if (WatchState* w = refs(peer).watch) w->watched = false;
 }
 
 bool LinkManager::peer_alive(sim::NodeId peer) const noexcept {
-  const auto it = watches_.find(peer);
-  return it == watches_.end() || !it->second.dead;
+  const WatchState* w = refs(peer).watch;
+  return w == nullptr || !w->dead;
 }
 
 std::uint32_t LinkManager::heartbeat_misses(sim::NodeId peer) const noexcept {
-  const auto it = watches_.find(peer);
-  return it == watches_.end() ? 0 : it->second.misses;
+  const WatchState* w = refs(peer).watch;
+  return w == nullptr ? 0 : w->misses;
 }
 
 void LinkManager::heartbeat_tick() {
@@ -574,8 +597,10 @@ void LinkManager::heartbeat_tick() {
     return;
   }
   const sim::Time now = transport_.now();
-  std::vector<sim::NodeId> ping;
-  std::vector<sim::NodeId> dead;
+  std::vector<sim::NodeId>& ping = tick_pings_;
+  std::vector<sim::NodeId>& dead = tick_dead_;
+  ping.clear();
+  dead.clear();
   for (auto& [peer, w] : watches_) {
     if (!w.watched || w.dead) continue;
     if (now >= w.last_heard + options_.heartbeat_interval) {
@@ -606,17 +631,7 @@ void LinkManager::heartbeat_tick() {
   }
 }
 
-void LinkManager::handle_ack(sim::NodeId from, wire::Reader& r) {
-  const Ack ack = decode_ack_fields(r);
-  const auto it = tx_.find(from);
-  if (it != tx_.end()) advance_ack(from, it->second, ack.session, ack.cum);
-}
-
-void LinkManager::handle_nack(sim::NodeId from, wire::Reader& r) {
-  const Nack nack = decode_nack_fields(r);
-  const auto it = tx_.find(from);
-  if (it == tx_.end()) return;
-  TxState& tx = it->second;
+void LinkManager::handle_nack(sim::NodeId from, TxState& tx, const Nack& nack) {
   if (nack.session != tx.session) return;  // stale stream
   if (nack.missing == 0) {
     // Explicit resync request: the receiver has no state for this stream
@@ -643,14 +658,6 @@ void LinkManager::handle_nack(sim::NodeId from, wire::Reader& r) {
   }
 }
 
-void LinkManager::handle_heartbeat(sim::NodeId from, wire::Reader& r) {
-  const Heartbeat hb = decode_heartbeat_fields(r);
-  if (hb.reply) return;  // pong: note_heard already credited it
-  ++counters_.heartbeats_sent;
-  network_.send(id_, from,
-                frame_control(kHeartbeatTag, Heartbeat{0, hb.nonce, true}));
-}
-
 void LinkManager::grant_credit(sim::NodeId peer, RxState& rx, bool force) {
   if (!options_.credit || credit_paused_ || detached_ || !rx.synced) return;
   const std::uint64_t target = rx.delivered + options_.credit_window;
@@ -665,17 +672,6 @@ void LinkManager::grant_credit(sim::NodeId peer, RxState& rx, bool force) {
   ++counters_.credits_sent;
   network_.send(id_, peer,
                 frame_control(kCreditTag, Credit{rx.session, target}));
-}
-
-void LinkManager::handle_credit(sim::NodeId from, wire::Reader& r) {
-  const Credit credit = decode_credit_fields(r);
-  const auto it = tx_.find(from);
-  if (it == tx_.end()) return;
-  TxState& tx = it->second;
-  if (credit.session != tx.session) return;      // stale stream
-  if (credit.limit <= tx.credit_limit) return;   // reordered / duplicate
-  tx.credit_limit = credit.limit;
-  drain_pending(from, tx);
 }
 
 LinkManager::Payload LinkManager::frame_control(std::uint8_t tag,

@@ -43,6 +43,7 @@
 #include "cake/runtime/background.hpp"
 #include "cake/runtime/transport.hpp"
 #include "cake/sim/sim.hpp"
+#include "cake/util/flat_table.hpp"
 #include "cake/util/rng.hpp"
 #include "cake/wire/wire.hpp"
 
@@ -315,6 +316,12 @@ private:
     std::uint32_t misses = 0;
     sim::Time last_heard = 0;
   };
+  /// A peer's records, any of them null while it has none of that kind.
+  struct PeerRefs {
+    TxState* tx = nullptr;
+    RxState* rx = nullptr;
+    WatchState* watch = nullptr;
+  };
 
   [[nodiscard]] std::size_t hold_capacity() const noexcept {
     return options_.window * 2;
@@ -329,9 +336,20 @@ private:
     return !options_.credit || tx.next_seq <= tx.credit_limit;
   }
 
+  [[nodiscard]] PeerRefs refs(sim::NodeId peer) const noexcept {
+    const PeerRefs* found = peers_.find(peer);
+    return found != nullptr ? *found : PeerRefs{};
+  }
+  /// The peer's record of each kind, created on first use.
+  TxState& tx_of(sim::NodeId peer);
+  RxState& rx_of(sim::NodeId peer);
+  WatchState& watch_of(sim::NodeId peer);
+  /// Erases the peer's tx and rx records, and its watch unless `keep_watch`.
+  void drop(sim::NodeId peer, bool keep_watch);
+
   void on_network(sim::NodeId from, const Payload& payload,
                   const sim::LinkTag& tag);
-  void note_heard(sim::NodeId from);
+  void handle_control(sim::NodeId from, TxState* tx, wire::Reader& r);
   void enqueue(sim::NodeId to, Payload payload, bool event);
   /// Assigns the next seq and puts `frame` on the wire.
   void admit(sim::NodeId to, TxState& tx, TxFrame frame);
@@ -343,7 +361,7 @@ private:
   void advance_ack(sim::NodeId peer, TxState& tx, std::uint32_t session,
                    std::uint64_t cum);
   void reset_stream(sim::NodeId peer, TxState& tx);
-  void rx_data(sim::NodeId from, const Payload& payload,
+  void rx_data(sim::NodeId from, RxState& rx, const Payload& payload,
                const sim::LinkTag& tag);
   void release_in_order(sim::NodeId from);
   void send_nack(sim::NodeId peer, RxState& rx, std::uint64_t missing);
@@ -353,10 +371,7 @@ private:
   void on_retransmit_timer(sim::NodeId peer);
   [[nodiscard]] sim::Time rto(const TxState& tx);
   void heartbeat_tick();
-  void handle_ack(sim::NodeId from, wire::Reader& r);
-  void handle_nack(sim::NodeId from, wire::Reader& r);
-  void handle_heartbeat(sim::NodeId from, wire::Reader& r);
-  void handle_credit(sim::NodeId from, wire::Reader& r);
+  void handle_nack(sim::NodeId from, TxState& tx, const Nack& nack);
   [[nodiscard]] Payload frame_control(std::uint8_t tag,
                                       const auto& fields) const;
 
@@ -378,11 +393,21 @@ private:
   bool credit_paused_ = false;
   std::uint32_t next_session_ = 1;  // unique per stream this node originates
   std::uint64_t next_nonce_ = 1;
+  // The maps own the per-peer records. Their nodes never move, so a record
+  // survives the peers a `deliver_` upcall adds; and each map's walk order,
+  // which fixes the send order of a heartbeat tick's pings and a credit
+  // resume's grants (and with it the Sim's schedule), follows its own
+  // inserts and erases alone. `peers_` finds all of a peer's records with
+  // one probe; its keys are widened so that every NodeId fits.
   std::unordered_map<sim::NodeId, TxState> tx_;
   std::unordered_map<sim::NodeId, RxState> rx_;
   std::unordered_map<sim::NodeId, WatchState> watches_;
+  util::FlatTable<std::uint64_t, PeerRefs> peers_;
   LinkCounters counters_;
   runtime::PeriodicTask heartbeat_;
+  // heartbeat_tick's lists, kept so a tick allocates nothing once warm.
+  std::vector<sim::NodeId> tick_pings_;
+  std::vector<sim::NodeId> tick_dead_;
 };
 
 }  // namespace cake::link

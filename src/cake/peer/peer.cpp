@@ -79,11 +79,6 @@ std::size_t PeerBroker::advertised_to(sim::NodeId neighbor) const {
   return it == advertised_.end() ? 0 : it->second.size();
 }
 
-bool PeerBroker::is_neighbor(sim::NodeId node) const {
-  return std::find(neighbors_.begin(), neighbors_.end(), node) !=
-         neighbors_.end();
-}
-
 void PeerBroker::on_packet(sim::NodeId from, const sim::Network::Payload& payload) {
   PeerPacket packet;
   try {

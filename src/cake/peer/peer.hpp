@@ -132,7 +132,6 @@ private:
   /// Recomputes what the link to `neighbor` should carry (all filters not
   /// originated by it, collapsed when configured) and sends the diff.
   void resync_link(sim::NodeId neighbor);
-  [[nodiscard]] bool is_neighbor(sim::NodeId node) const;
   void send(sim::NodeId to, const PeerPacket& packet);
 
   sim::NodeId id_;

@@ -201,11 +201,6 @@ void Overlay::restart(sim::NodeId node) {
   broker->restart();
 }
 
-journal::Journal* Overlay::journal_for(sim::NodeId node) noexcept {
-  const auto it = journals_.find(node);
-  return it == journals_.end() ? nullptr : it->second.get();
-}
-
 journal::MemStorage* Overlay::storage_for(sim::NodeId node) noexcept {
   const auto it = storage_.find(node);
   return it == storage_.end() ? nullptr : it->second.get();

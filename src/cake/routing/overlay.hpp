@@ -168,10 +168,9 @@ public:
   /// Total parent-death re-attachments across the broker hierarchy.
   [[nodiscard]] std::uint64_t total_reparents() const noexcept;
 
-  /// The broker's journal / backing storage (Durability::Journal only;
-  /// nullptr otherwise or for non-broker ids). Tests inspect and corrupt
-  /// these directly.
-  [[nodiscard]] journal::Journal* journal_for(sim::NodeId node) noexcept;
+  /// The broker's backing storage (Durability::Journal only; nullptr
+  /// otherwise or for non-broker ids). Tests inspect and corrupt it
+  /// directly.
   [[nodiscard]] journal::MemStorage* storage_for(sim::NodeId node) noexcept;
 
 private:

@@ -147,8 +147,7 @@ void Network::set_loss_rate(double rate, std::uint64_t seed) {
 }
 
 Network::Link& Network::link_record(NodeId from, NodeId to) {
-  return links_.try_emplace(key(from, to), Link{{}, default_latency_})
-      .first->second;
+  return links_.try_emplace(key(from, to), Link{{}, default_latency_});
 }
 
 void Network::set_latency(NodeId from, NodeId to, Time latency) {
@@ -240,7 +239,7 @@ void Network::threaded_send(NodeId from, NodeId to, Payload payload,
     const std::size_t i = std::min(self, f.slots.size() - 1);
     std::unique_lock lock{f.overflow_mutex, std::defer_lock};
     if (i + 1 == f.slots.size()) lock.lock();  // an outside thread
-    LinkStats& stats = f.slots[i].links[key(from, to)];
+    LinkStats& stats = f.slots[i].links.try_emplace(key(from, to)).stats;
     ++stats.messages;
     stats.bytes += size;
   }
@@ -311,16 +310,15 @@ LinkStats Network::link(NodeId from, NodeId to) const noexcept {
   if (fabric_) {
     LinkStats merged;
     for (const LaneSlot& slot : fabric_->slots) {
-      const auto it = slot.links.find(key(from, to));
-      if (it != slot.links.end()) {
-        merged.messages += it->second.messages;
-        merged.bytes += it->second.bytes;
+      if (const Link* link = slot.links.find(key(from, to))) {
+        merged.messages += link->stats.messages;
+        merged.bytes += link->stats.bytes;
       }
     }
     return merged;
   }
-  const auto it = links_.find(key(from, to));
-  return it == links_.end() ? LinkStats{} : it->second.stats;
+  const Link* link = links_.find(key(from, to));
+  return link == nullptr ? LinkStats{} : link->stats;
 }
 
 std::uint64_t Network::received_by(NodeId node) const noexcept {

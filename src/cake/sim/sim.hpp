@@ -20,11 +20,11 @@
 #include <memory_resource>
 #include <mutex>
 #include <span>
-#include <unordered_map>
 #include <vector>
 
 #include "cake/metrics/lane_counters.hpp"
 #include "cake/runtime/threaded.hpp"
+#include "cake/util/flat_table.hpp"
 #include "cake/util/rng.hpp"
 #include "cake/wire/buffer.hpp"
 
@@ -264,10 +264,20 @@ private:
     LinkTag tag;
   };
 
+  /// One directed link: its traffic so far and its latency, so a send
+  /// makes one table probe for both (fabric mode keeps latency 0).
+  struct Link {
+    LinkStats stats;
+    Time latency = 0;
+  };
+  /// Links by `key(from, to)`. No key is all ones: node ids stay below
+  /// kMaxNodes.
+  using LinkTable = util::FlatTable<std::uint64_t, Link>;
+
   /// Fabric accounting: slot i is written only by lane i's worker, the
   /// overflow slot (links only) by outside threads under `overflow_mutex`.
   struct alignas(64) LaneSlot {
-    std::unordered_map<std::uint64_t, LinkStats> links;
+    LinkTable links;
     std::uint64_t delivered = 0;
     std::uint64_t undeliverable = 0;
     std::vector<std::uint64_t> received;  ///< by NodeId
@@ -296,12 +306,6 @@ private:
     return chunk->slots[node % kHandlerChunk].load(std::memory_order_acquire);
   }
 
-  /// One directed link: its traffic so far and its latency, so a send
-  /// makes one hash lookup for both.
-  struct Link {
-    LinkStats stats;
-    Time latency = 0;
-  };
   Link& link_record(NodeId from, NodeId to);
 
   Scheduler& scheduler_;
@@ -332,7 +336,7 @@ private:
   // Sim-mode deliveries per node id, sized by attach (fabric mode counts
   // per lane instead).
   std::vector<std::uint64_t> received_;
-  std::unordered_map<std::uint64_t, Link> links_;
+  LinkTable links_;
   LinkStats total_;
   std::vector<Delivery> delivery_slots_;
   std::vector<std::uint32_t> free_slots_;

@@ -222,6 +222,51 @@ TEST(AllocGuard, ReliableForwardPathIsAllocationFree) {
   EXPECT_EQ(sink.counters().duplicates_suppressed, 0u);
 }
 
+// An idle reliable link costs nothing on the heap either. Two ends watch
+// each other with the default ACK delay, and every burst of events is
+// followed by silence longer than the heartbeat interval, so each gap runs
+// heartbeat ticks that ping and pong, and each burst delayed standalone
+// ACKs. Once warm, a burst and its gap allocate nothing.
+TEST(AllocGuard, ReliablePairIdlingPastTheHeartbeatIsAllocationFree) {
+  sim::Scheduler scheduler;
+  runtime::SimTransport transport{scheduler};
+  sim::Network network{scheduler, 10};
+
+  link::LinkOptions reliable;
+  reliable.reliability = link::Reliability::Reliable;
+  link::LinkManager a{1, network, transport, reliable, 11};
+  link::LinkManager b{2, network, transport, reliable, 22};
+  std::uint64_t delivered = 0;
+  a.attach([](sim::NodeId, const sim::Network::Payload&) {});
+  b.attach([&delivered](sim::NodeId, const sim::Network::Payload&) {
+    ++delivered;
+  });
+  a.watch(2);
+  b.watch(1);
+
+  const sim::Network::Payload frame =
+      routing::encode_event_frame(long_title_image(), 0, 1, 0);
+  constexpr int kBurst = 16;
+  const sim::Time gap = 5 * reliable.heartbeat_interval / 2;
+  const auto burst_then_idle = [&] {
+    for (int i = 0; i < kBurst; ++i) a.send_event(2, frame);
+    scheduler.run_until(scheduler.now() + gap);
+  };
+  for (int i = 0; i < 16; ++i) burst_then_idle();  // warm-up
+  const std::uint64_t pings_before = a.counters().heartbeats_sent;
+
+  constexpr int kRounds = 64;
+  const std::uint64_t before = news();
+  for (int i = 0; i < kRounds; ++i) burst_then_idle();
+  EXPECT_EQ(news() - before, 0u)
+      << "a reliable pair allocated across bursts and idle heartbeats";
+  EXPECT_EQ(delivered, std::uint64_t{(16 + kRounds) * kBurst});
+  EXPECT_GE(a.counters().heartbeats_sent - pings_before, std::uint64_t{kRounds});
+  EXPECT_TRUE(a.peer_alive(2));
+  EXPECT_TRUE(b.peer_alive(1));
+  EXPECT_EQ(a.counters().retransmits, 0u);
+}
+
 // Pooling recycles both the byte buffers and the intrusive refcount holder
 // nodes, so minting a fresh frame per event — as a publisher does — and
 // forwarding it through a broker is allocation-free in steady state. The

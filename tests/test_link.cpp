@@ -227,6 +227,71 @@ TEST(Link, RedirectMovesUnackedAndQueuedFramesInOrder) {
   for (std::uint64_t i = 0; i < 6; ++i) EXPECT_EQ(got[i], i);
 }
 
+// Each kind of per-peer state keeps its own lifetime, for peer ids anywhere
+// in the network's range: redirect moves a peer's streams away but keeps
+// its watch, and forget drops all three, so the forgotten peer reads as an
+// empty stream whose old marks are reached.
+TEST(Link, PeerStateLifetimesHoldAcrossTheWholeIdRange) {
+  Harness h;
+  const link::LinkOptions options = reliable_options();
+  constexpr auto kLast = static_cast<sim::NodeId>(sim::Network::kMaxNodes - 1);
+  const std::vector<sim::NodeId> peers{2, 1023, 1024, 65'537, kLast - 1, kLast};
+  link::LinkManager a{1, h.network, h.transport, options, 666};
+  a.attach([](sim::NodeId, const sim::Network::Payload&) {});
+
+  // No peer is attached, so nothing is ever acknowledged and every watched
+  // peer stays silent. Peer i holds i + 1 frames.
+  for (std::size_t i = 0; i < peers.size(); ++i) {
+    for (std::uint64_t k = 0; k <= i; ++k) a.send_control(peers[i], marked(k));
+    a.watch(peers[i]);
+  }
+  for (std::size_t i = 0; i < peers.size(); ++i)
+    EXPECT_EQ(a.in_flight(peers[i]), i + 1) << "peer " << peers[i];
+
+  const link::LinkManager::TxMark mark = a.tx_mark(1024);
+  EXPECT_FALSE(a.tx_reached(1024, mark));
+  a.redirect(kLast, 1024);
+  EXPECT_EQ(a.in_flight(kLast), 0u);
+  EXPECT_EQ(a.in_flight(1024), 3u + 6u);
+
+  a.forget(1024);
+  EXPECT_EQ(a.in_flight(1024), 0u);
+  EXPECT_TRUE(a.tx_reached(1024, mark));
+
+  // Silence past the death threshold: the kept watch on kLast fires, the
+  // forgotten one on 1024 does not, the untouched peers keep their frames.
+  h.scheduler.run_until((options.heartbeat_misses + 1) * options.heartbeat_interval);
+  EXPECT_FALSE(a.peer_alive(kLast));
+  EXPECT_TRUE(a.peer_alive(1024));
+  EXPECT_EQ(a.heartbeat_misses(1024), 0u);
+  for (std::size_t i = 0; i < peers.size(); ++i) {
+    if (peers[i] == 1024 || peers[i] == kLast) continue;
+    EXPECT_FALSE(a.peer_alive(peers[i])) << "peer " << peers[i];
+    EXPECT_EQ(a.in_flight(peers[i]), i + 1) << "peer " << peers[i];
+  }
+  EXPECT_EQ(a.counters().peers_declared_dead, peers.size() - 1);
+
+  // A forgotten peer starts over on a fresh stream.
+  a.send_control(1024, marked(0));
+  EXPECT_EQ(a.in_flight(1024), 1u);
+  EXPECT_FALSE(a.tx_reached(1024, mark));
+}
+
+// Streams to many peers, half of them then forgotten: every survivor keeps
+// exactly its own frames, whatever order the peers came and went in.
+TEST(Link, ManyPeersComeAndGoWithoutDisturbingTheOthers) {
+  Harness h;
+  link::LinkManager a{1, h.network, h.transport, reliable_options(), 777};
+  a.attach([](sim::NodeId, const sim::Network::Payload&) {});
+  std::vector<sim::NodeId> peers;
+  for (sim::NodeId i = 0; i < 300; ++i) peers.push_back(2 + (i * 7919) % 4'000'000);
+  for (std::size_t i = 0; i < peers.size(); ++i)
+    for (std::uint64_t k = 0; k < 1 + i % 3; ++k) a.send_control(peers[i], marked(k));
+  for (std::size_t i = 0; i < peers.size(); i += 2) a.forget(peers[i]);
+  for (std::size_t i = 0; i < peers.size(); ++i)
+    EXPECT_EQ(a.in_flight(peers[i]), i % 2 == 0 ? 0 : 1 + i % 3) << "peer " << peers[i];
+}
+
 TEST(Link, ReceiverColdRestartForcesStreamResyncWithoutDuplicates) {
   Harness h;
   link::LinkManager a{1, h.network, h.transport, reliable_options(), 444};

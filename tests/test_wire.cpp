@@ -3,9 +3,12 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <limits>
 #include <string_view>
 #include <vector>
+
+#include "cake/wire/crc32c.hpp"
 
 namespace cake::wire {
 namespace {
@@ -144,6 +147,42 @@ TEST(Wire, Fnv1aKnownVectors) {
   EXPECT_EQ(fnv1a({}), 0xcbf29ce484222325ULL);
   const auto bytes = std::as_bytes(std::span{"a", 1});
   EXPECT_EQ(fnv1a(bytes), 0xaf63dc4c8601ec8cULL);
+}
+
+// The check value every CRC32C implementation publishes (RFC 3720 B.4).
+TEST(Crc32c, CheckValueOfTheNineDigits) {
+  EXPECT_EQ(crc32c(std::as_bytes(std::span{"123456789", 9})), 0xE3069283u);
+  EXPECT_EQ(crc32c({}), 0u);
+}
+
+// The word-at-a-time loop agrees with the one-byte-at-a-time definition at
+// every length and alignment, and extends a running checksum across splits.
+TEST(Crc32c, MatchesTheBytewiseDefinitionAtEveryLengthAndOffset) {
+  const auto bytewise = [](std::span<const std::byte> bytes) {
+    std::uint32_t crc = ~0u;
+    for (const std::byte b : bytes) {
+      crc ^= static_cast<std::uint32_t>(b);
+      for (int bit = 0; bit < 8; ++bit)
+        crc = (crc >> 1) ^ ((crc & 1u) ? 0x82F63B78u : 0u);
+    }
+    return ~crc;
+  };
+  std::array<std::byte, 308> buffer{};
+  std::uint32_t x = 0x2545F491u;
+  for (std::byte& b : buffer) {
+    x = x * 1664525u + 1013904223u;
+    b = static_cast<std::byte>(x >> 24);
+  }
+  for (std::size_t offset = 0; offset < 8; ++offset) {
+    for (std::size_t len = 0; len <= 300; ++len) {
+      const std::span<const std::byte> bytes{buffer.data() + offset, len};
+      const std::uint32_t want = bytewise(bytes);
+      ASSERT_EQ(crc32c(bytes), want) << "offset " << offset << " length " << len;
+      const std::size_t cut = len / 3;
+      ASSERT_EQ(crc32c(bytes.subspan(cut), crc32c(bytes.first(cut))), want)
+          << "offset " << offset << " length " << len << " split at " << cut;
+    }
+  }
 }
 
 TEST(Wire, FrameRoundTrip) {
