@@ -54,7 +54,7 @@ struct AppendArm {
 // log. Rotation and retention stay on their broker defaults so the arm
 // measures the configuration the overlay actually runs.
 void run_append_arm(AppendArm& arm, journal::Storage& storage,
-                    const std::vector<std::vector<std::byte>>& frames,
+                    const std::vector<wire::Frame>& frames,
                     std::size_t events) {
   journal::Journal log{storage};
   const auto start = std::chrono::steady_clock::now();
@@ -86,7 +86,7 @@ int main(int argc, char** argv) {
   journal::Journal recorder{recorded};
   const core::ReplayConfig rc;
   const core::ReplayReport live = core::record_workload(rc, kSeed, recorder);
-  std::vector<std::vector<std::byte>> frames;
+  std::vector<wire::Frame> frames;
   recorder.scan(0, [&](const journal::Record& rec) {
     if (rec.kind == journal::RecordKind::Event)
       frames.push_back(rec.payload);

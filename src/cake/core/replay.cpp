@@ -217,7 +217,7 @@ ReplayReport replay_workload(const ReplayConfig& cfg, std::uint64_t seed,
   // broker journal written under Duplicate faults holds every inbound copy)
   // are injected as-is — the subscriber dedup absorbs them — but counted
   // once on the expected side.
-  std::vector<std::vector<std::byte>> frames;
+  std::vector<wire::Frame> frames;
   std::unordered_set<std::uint64_t> seen_ids;
   std::ostringstream err;
   journal.scan(journal.first_offset(), [&](const journal::Record& rec) {
@@ -263,7 +263,7 @@ ReplayReport replay_workload(const ReplayConfig& cfg, std::uint64_t seed,
   for (std::size_t i = 0; i < frames.size(); ++i) {
     sch.schedule_at(t0 + (i + 1) * cfg.event_spacing,
                     [&net, src, root, frame = std::move(frames[i])] {
-                      net.send(src, root, sim::Network::Payload{frame});
+                      net.send(src, root, frame);
                     });
   }
   overlay.run();

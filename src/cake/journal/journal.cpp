@@ -67,8 +67,9 @@ std::vector<std::string> MemStorage::list() const {
 
 void MemStorage::append(const std::string& name,
                         std::span<const std::byte> bytes) {
-  auto& blob = blobs_[name];
-  blob.insert(blob.end(), bytes.begin(), bytes.end());
+  if (open_ == nullptr || open_->first != name)
+    open_ = &*blobs_.try_emplace(name).first;
+  open_->second.insert(open_->second.end(), bytes.begin(), bytes.end());
 }
 
 std::vector<std::byte> MemStorage::read(const std::string& name) const {
@@ -78,7 +79,10 @@ std::vector<std::byte> MemStorage::read(const std::string& name) const {
   return it->second;
 }
 
-void MemStorage::remove(const std::string& name) { blobs_.erase(name); }
+void MemStorage::remove(const std::string& name) {
+  if (open_ != nullptr && open_->first == name) open_ = nullptr;
+  blobs_.erase(name);
+}
 
 void MemStorage::truncate(const std::string& name, std::size_t size) {
   const auto it = blobs_.find(name);
@@ -229,8 +233,9 @@ void Journal::recover() {
       const std::byte* payload = h + kRecordHeaderBytes;
       if (wire::crc32c({payload, len}) != get_u32(h + 12)) break;
 
-      records_.push_back(Record{offset, static_cast<RecordKind>(kind),
-                                {payload, payload + len}});
+      records_.push_back(
+          Record{offset, static_cast<RecordKind>(kind),
+                 wire::Frame{std::vector<std::byte>(payload, payload + len)}});
       pos += kRecordHeaderBytes + len;
       valid_end = pos;
       ++offset;
@@ -266,10 +271,10 @@ void Journal::recover() {
 
 void Journal::open_segment(std::uint64_t base) {
   const std::string name = segment_name(base);
-  scratch_.assign(kSegmentHeaderBytes, std::byte{0});
-  std::memcpy(scratch_.data(), kMagic, sizeof kMagic);
-  put_u64(scratch_.data() + 8, base);
-  storage_.append(name, scratch_);
+  std::byte preamble[kSegmentHeaderBytes];
+  std::memcpy(preamble, kMagic, sizeof kMagic);
+  put_u64(preamble + 8, base);
+  storage_.append(name, preamble);
   segments_.push_back(Segment{name, base, kSegmentHeaderBytes, 0});
 }
 
@@ -287,8 +292,7 @@ void Journal::retire_front() {
   ++stats_.segments_retired;
 }
 
-std::uint64_t Journal::append(RecordKind kind,
-                              std::span<const std::byte> payload) {
+std::uint64_t Journal::append(RecordKind kind, wire::Frame payload) {
   if (payload.size() > kMaxPayloadBytes)
     throw JournalError("Journal: payload too large");
 
@@ -301,24 +305,22 @@ std::uint64_t Journal::append(RecordKind kind,
   Segment& seg = segments_.back();
 
   const std::uint64_t offset = next_offset_;
-  scratch_.assign(kRecordHeaderBytes + payload.size(), std::byte{0});
-  std::byte* h = scratch_.data();
+  std::byte h[kRecordHeaderBytes] = {};
   put_u64(h, offset);
   put_u32(h + 8, static_cast<std::uint32_t>(payload.size()));
   put_u32(h + 12, wire::crc32c(payload));
   h[16] = static_cast<std::byte>(kind);
   put_u32(h + 20, wire::crc32c({h, 20}));
-  if (!payload.empty())
-    std::memcpy(h + kRecordHeaderBytes, payload.data(), payload.size());
-  storage_.append(seg.name, scratch_);
+  storage_.append(seg.name, h);
+  if (!payload.empty()) storage_.append(seg.name, payload);
 
-  seg.bytes += scratch_.size();
+  const std::size_t bytes = kRecordHeaderBytes + payload.size();
+  seg.bytes += bytes;
   ++seg.records;
   ++next_offset_;
-  records_.push_back(
-      Record{offset, kind, {payload.begin(), payload.end()}});
+  records_.push_back(Record{offset, kind, std::move(payload)});
   ++stats_.appends;
-  stats_.bytes_appended += scratch_.size();
+  stats_.bytes_appended += bytes;
   return offset;
 }
 
@@ -328,14 +330,14 @@ std::uint64_t Journal::append_cursor(std::uint64_t subscriber,
   w.varint(subscriber);
   w.u8(1);
   w.varint(offset);
-  return append(RecordKind::Cursor, w.bytes());
+  return append(RecordKind::Cursor, wire::Frame{w.take()});
 }
 
 std::uint64_t Journal::append_cursor_clear(std::uint64_t subscriber) {
   wire::Writer w;
   w.varint(subscriber);
   w.u8(0);
-  return append(RecordKind::Cursor, w.bytes());
+  return append(RecordKind::Cursor, wire::Frame{w.take()});
 }
 
 std::optional<CursorUpdate> Journal::parse_cursor(

@@ -37,7 +37,10 @@
 #include <span>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
+
+#include "cake/wire/buffer.hpp"
 
 namespace cake::journal {
 
@@ -55,11 +58,12 @@ enum class RecordKind : std::uint8_t {
 
 /// One recovered or appended record. `offset` is the monotonic log offset
 /// (a record index, not a byte position): the first record ever appended is
-/// offset 0 and the chain never reuses or skips a value.
+/// offset 0 and the chain never reuses or skips a value. An appended event
+/// record holds the caller's refcounted frame, not a copy of its bytes.
 struct Record {
   std::uint64_t offset = 0;
   RecordKind kind = RecordKind::Event;
-  std::vector<std::byte> payload;
+  wire::Frame payload;
 };
 
 /// Byte-level backing store: named append-only blobs. The journal layers
@@ -89,6 +93,15 @@ public:
 /// process state while "disk" persists, exactly like a real machine reboot.
 class MemStorage final : public Storage {
 public:
+  MemStorage() = default;
+  // A copy owns its blobs and starts with no open blob of its own.
+  MemStorage(const MemStorage& other) : Storage(), blobs_(other.blobs_) {}
+  MemStorage& operator=(const MemStorage& other) {
+    blobs_ = other.blobs_;
+    open_ = nullptr;
+    return *this;
+  }
+
   [[nodiscard]] std::vector<std::string> list() const override;
   void append(const std::string& name,
               std::span<const std::byte> bytes) override;
@@ -108,6 +121,9 @@ public:
 
 private:
   std::map<std::string, std::vector<std::byte>> blobs_;  // ordered = sorted
+  // The blob the last append wrote to: a journal appends to one segment
+  // until it rotates, so the next append usually skips the map lookup.
+  std::pair<const std::string, std::vector<std::byte>>* open_ = nullptr;
 };
 
 /// Directory-backed storage for the `cake_replay` tooling and CI artifacts.
@@ -182,10 +198,11 @@ public:
   Journal(const Journal&) = delete;
   Journal& operator=(const Journal&) = delete;
 
-  /// Appends one record; returns its log offset.
-  std::uint64_t append(RecordKind kind, std::span<const std::byte> payload);
-  std::uint64_t append_event(std::span<const std::byte> frame) {
-    return append(RecordKind::Event, frame);
+  /// Appends one record; returns its log offset. The record keeps a
+  /// reference to `payload`'s bytes.
+  std::uint64_t append(RecordKind kind, wire::Frame payload);
+  std::uint64_t append_event(wire::Frame frame) {
+    return append(RecordKind::Event, std::move(frame));
   }
   /// Cursor bookkeeping for durable subscriptions.
   std::uint64_t append_cursor(std::uint64_t subscriber, std::uint64_t offset);
@@ -237,7 +254,6 @@ private:
   std::deque<Record> records_;  // retained records, oldest first
   std::uint64_t next_offset_ = 0;
   std::uint64_t first_offset_ = 0;
-  std::vector<std::byte> scratch_;  // header+payload staging for append
   JournalStats stats_;
 };
 

@@ -898,10 +898,8 @@ void Broker::replay_journal() {
     // the heal-time race machinery, now fed from disk instead of from a
     // lucky retransmission. Duplicate deliveries on paths that already
     // carried the event pre-crash die at the subscribers' event-id dedup.
-    const sim::Network::Payload payload{
-        std::vector<std::byte>{rec.payload.begin(), rec.payload.end()}};
     try {
-      handle_event_frame(id_, payload);
+      handle_event_frame(id_, rec.payload);
     } catch (const wire::WireError&) {
       ++stats_.malformed_packets;  // CRC-valid record, frame still hostile
     }
@@ -912,11 +910,9 @@ void Broker::replay_journal() {
 void Broker::replay_range_to(sim::NodeId child, std::uint64_t from) {
   journal_->scan(from, [this, child](const journal::Record& rec) {
     if (rec.kind != journal::RecordKind::Event) return;
-    const sim::Network::Payload payload{
-        std::vector<std::byte>{rec.payload.begin(), rec.payload.end()}};
     const EventMsg* ev = nullptr;
     try {
-      ev = &decode_event_once(payload);
+      ev = &decode_event_once(rec.payload);
     } catch (const wire::WireError&) {
       ++stats_.malformed_packets;
       return;
@@ -928,7 +924,7 @@ void Broker::replay_range_to(sim::NodeId child, std::uint64_t from) {
     // Pass-through serve: the journaled bytes are the frame the
     // publisher built, so replay forwards are byte-identical to live
     // ones and the subscriber's dedup treats them as the same event.
-    forward_event(child, payload);
+    forward_event(child, rec.payload);
     ++stats_.events_replayed;
   });
 }

@@ -325,7 +325,10 @@ bool SubscriberNode::first_copy(std::uint64_t event_id) {
   }
   std::uint64_t& word = window->seen[(seq & kMask) >> 6];
   const std::uint64_t bit = std::uint64_t{1} << (seq & 63);
-  if ((word & bit) != 0) return false;
+  if ((word & bit) != 0) {
+    ++stats_.events_duplicate;
+    return false;
+  }
   word |= bit;
   return true;
 }

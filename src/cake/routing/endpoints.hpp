@@ -36,6 +36,7 @@ struct SubscriberStats {
   std::uint64_t events_stalled = 0;    ///< events parked in the stall inbox
   std::uint64_t stall_inbox_dropped = 0;  ///< oldest parked evicted, inbox full
   std::uint64_t events_stale = 0;  ///< copies behind the dedup window, dropped
+  std::uint64_t events_duplicate = 0;  ///< in-window copies seen before, dropped
 };
 
 /// Sequence numbers each subscriber's event-id dedup remembers per

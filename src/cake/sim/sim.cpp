@@ -1,31 +1,33 @@
 #include "cake/sim/sim.hpp"
 
 #include <algorithm>
+#include <functional>
 #include <stdexcept>
+#include <utility>
 
 namespace cake::sim {
 
-Scheduler::~Scheduler() {
-  for (auto& [at, fifo] : instants_) {
-    while (Item* item = fifo.head) {
-      fifo.head = item->next;
-      recycle(item);
-    }
-  }
-}
-
 void Scheduler::push(Time at, std::function<void()> fn, bool background) {
-  Item* item = std::pmr::polymorphic_allocator<Item>{&pool_}.new_object<Item>(
-      std::move(fn), nullptr, background);
-  Fifo& fifo = instants_[std::max(at, now_)];
-  (fifo.tail != nullptr ? fifo.tail->next : fifo.head) = item;
+  if (free_ == nullptr) {
+    free_ = chunks_.emplace_back(std::make_unique<Item[]>(kChunkItems)).get();
+    for (std::size_t i = 0; i + 1 < kChunkItems; ++i)
+      free_[i].next = &free_[i + 1];
+  }
+  Item* item = free_;
+  free_ = item->next;
+  *item = Item{std::move(fn), nullptr, background};
+  at = std::max(at, now_);
+  Fifo& fifo = fifo_at(at);
+  if (fifo.head == nullptr) {
+    fifo.head = item;
+    heap_.push_back(at);
+    std::push_heap(heap_.begin(), heap_.end(), std::greater<>{});
+  } else {
+    fifo.tail->next = item;
+  }
   fifo.tail = item;
   ++pending_;
   if (!background) ++foreground_pending_;
-}
-
-void Scheduler::recycle(Item* item) noexcept {
-  std::pmr::polymorphic_allocator<Item>{&pool_}.delete_object(item);
 }
 
 void Scheduler::schedule_at(Time at, std::function<void()> fn) {
@@ -45,21 +47,27 @@ void Scheduler::schedule_background_after(Time delay, std::function<void()> fn) 
 }
 
 bool Scheduler::step() {
-  if (instants_.empty()) return false;
+  if (heap_.empty()) return false;
   // Unlink before running: the closure may schedule more work, including
   // at this very instant (a fresh FIFO behind whatever is left here).
-  const auto first = instants_.begin();
-  Fifo& fifo = first->second;
+  now_ = heap_.front();
+  Fifo& fifo = fifo_at(now_);
   Item* item = fifo.head;
   fifo.head = item->next;
-  now_ = first->first;
-  if (fifo.head == nullptr) instants_.erase(first);
+  if (fifo.head == nullptr) {
+    std::pop_heap(heap_.begin(), heap_.end(), std::greater<>{});
+    heap_.pop_back();
+    if (now_ != kLast) instants_.erase(now_);
+  }
   --pending_;
   if (!item->background) --foreground_pending_;
   struct Recycle {
     Scheduler& self;
     Item* item;
-    ~Recycle() { self.recycle(item); }
+    ~Recycle() {
+      item->fn = nullptr;
+      item->next = std::exchange(self.free_, item);
+    }
   } recycle_after{*this, item};
   item->fn();
   return true;
@@ -72,7 +80,7 @@ std::size_t Scheduler::run(std::size_t max_steps) {
 }
 
 void Scheduler::run_until(Time deadline) {
-  while (!instants_.empty() && instants_.begin()->first <= deadline) step();
+  while (!heap_.empty() && heap_.front() <= deadline) step();
   now_ = std::max(now_, deadline);
 }
 

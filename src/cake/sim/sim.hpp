@@ -15,9 +15,7 @@
 #include <cstdint>
 #include <functional>
 #include <limits>
-#include <map>
 #include <memory>
-#include <memory_resource>
 #include <mutex>
 #include <span>
 #include <vector>
@@ -48,18 +46,18 @@ inline constexpr NodeId kNoNode = std::numeric_limits<NodeId>::max();
 /// makes "run to quiescence" well-defined in the presence of soft-state
 /// timers.
 ///
-/// Pending work is one FIFO per distinct virtual instant, the instants kept
-/// in time order. A post appends to its instant's FIFO, so execution order
-/// is exactly (time, post order) without a sequence number or a heap sift
-/// per step. FIFO nodes and the instant map's nodes recycle through a pool
-/// owned by the scheduler: once the pool covers the peak backlog, posting
-/// and stepping allocate nothing (DESIGN.md §9).
+/// Pending work is one FIFO per distinct virtual instant, so execution
+/// order is exactly (time, post order) without a sequence number. The
+/// FIFOs sit in an open-addressed table keyed by instant, and a min-heap
+/// holds each instant with pending work once. Items come from a free list
+/// cut from fixed chunks, so a running closure's item never moves. Once
+/// all three cover the peak backlog, posting and stepping allocate nothing
+/// (DESIGN.md §9).
 class Scheduler {
 public:
   Scheduler() = default;
   Scheduler(const Scheduler&) = delete;
   Scheduler& operator=(const Scheduler&) = delete;
-  ~Scheduler();
 
   [[nodiscard]] Time now() const noexcept { return now_; }
   [[nodiscard]] bool empty() const noexcept { return pending_ == 0; }
@@ -108,14 +106,24 @@ private:
   };
 
   void push(Time at, std::function<void()> fn, bool background);
-  void recycle(Item* item) noexcept;
+  /// The FIFO of instant `at`, created empty when absent. The table cannot
+  /// key `Time` max (its empty marker), so that instant has its own FIFO.
+  Fifo& fifo_at(Time at) {
+    return at == kLast ? last_ : instants_.try_emplace(at);
+  }
 
-  // Declared first so it outlives the map and every Item it backs.
-  std::pmr::unsynchronized_pool_resource pool_;
-  std::pmr::map<Time, Fifo> instants_{&pool_};
+  static constexpr Time kLast = std::numeric_limits<Time>::max();
+  static constexpr std::size_t kChunkItems = 256;
+
+  std::vector<Time> heap_;  // min-heap of the instants with pending work
+  util::FlatTable<Time, Fifo> instants_;
+  Fifo last_;
+  Item* free_ = nullptr;
   Time now_ = 0;
   std::size_t pending_ = 0;
   std::size_t foreground_pending_ = 0;
+  // Last, so pending closures die while the rest is still intact.
+  std::vector<std::unique_ptr<Item[]>> chunks_;
 };
 
 /// Per-direction link traffic counters.

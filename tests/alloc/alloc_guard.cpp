@@ -581,6 +581,43 @@ TEST(AllocGuard, LocalBusPublishCostsAFixedSmallConstant) {
   EXPECT_EQ(delivered, 64 + 1 + 256);
 }
 
+// The Sim scheduler over a churn-sized backlog (DESIGN.md §9): hundreds of
+// distinct instants, thousands of closures, instants that empty and are
+// re-posted from their own closure. Once the instant heap, the instant
+// table and the item free list cover the backlog, a post and a step
+// allocate nothing.
+TEST(AllocGuard, SchedulerOverHundredsOfInstantsIsAllocationFreeOnceWarm) {
+  sim::Scheduler sched;
+  std::uint64_t ran = 0;
+  // One cycle: 4000 closures over 600 instants of the next 3 ms, a tenth of
+  // them re-posting at their own instant, then a drain. Captures stay
+  // within std::function's inline storage, as the Network's do.
+  const auto cycle = [&] {
+    for (std::uint64_t i = 0; i < 4'000; ++i) {
+      const sim::Time at = sched.now() + 1 + (i * 7919) % 600 * 5;
+      if (i % 10 == 0) {
+        sched.schedule_at(at, [&sched, &ran] {
+          ++ran;
+          sched.schedule_after(0, [&ran] { ++ran; });
+        });
+      } else if (i % 4 == 0) {
+        sched.schedule_background_at(at, [&ran] { ++ran; });
+      } else {
+        sched.schedule_at(at, [&ran] { ++ran; });
+      }
+    }
+    while (sched.step()) {
+    }
+  };
+  cycle();  // warm: heap, table and free list grow to the backlog
+  cycle();
+
+  const std::uint64_t before = news();
+  for (int round = 0; round < 4; ++round) cycle();
+  EXPECT_EQ(news() - before, 0u) << "a post or a step allocated once warm";
+  EXPECT_EQ(ran, 6u * 4'400);
+}
+
 // A lane task keeps its callable inline (DESIGN.md §11): a capture of the
 // full 64 bytes — the size of the fabric's {Network*, Delivery} frame task
 // — is stored, moved and run without touching the heap.

@@ -647,6 +647,20 @@ TEST(DedupWindow, FirstCopiesInAnyOrderDeliverRepeatsDoNot) {
   EXPECT_EQ(fx.sub->stats().events_received, 8u);
   EXPECT_EQ(fx.sub->stats().events_delivered, 4u);
   EXPECT_EQ(fx.sub->stats().events_stale, 0u);
+  EXPECT_EQ(fx.sub->stats().events_duplicate, 4u);
+}
+
+TEST(DedupWindow, OneFrameDeliveredTwiceCountsOneDuplicate) {
+  DedupFx fx;
+  const sim::Network::Payload frame =
+      encode_event_frame(fx.image, 0, (std::uint64_t{1} << 32) | 7, 0);
+  fx.network.send(1, 2, frame);
+  fx.network.send(1, 2, frame);
+  fx.scheduler.run();
+  EXPECT_EQ(fx.handled, 1u);
+  EXPECT_EQ(fx.sub->stats().events_received, 2u);
+  EXPECT_EQ(fx.sub->stats().events_duplicate, 1u);
+  EXPECT_EQ(fx.sub->stats().events_stale, 0u);
 }
 
 TEST(DedupWindow, CopyOlderThanTheWindowIsDroppedAndCounted) {
@@ -661,6 +675,8 @@ TEST(DedupWindow, CopyOlderThanTheWindowIsDroppedAndCounted) {
   EXPECT_TRUE(fx.deliver(1, 101));
   EXPECT_FALSE(fx.deliver(1, 101));
   EXPECT_EQ(fx.sub->stats().events_stale, 1u);
+  // A stale copy is not also counted as an in-window duplicate.
+  EXPECT_EQ(fx.sub->stats().events_duplicate, 1u);
   EXPECT_EQ(fx.handled, 3u);
 }
 

@@ -7,6 +7,7 @@
 // tools/cake_replay.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstddef>
 #include <string>
 #include <vector>
@@ -74,6 +75,51 @@ TEST(Journal, AppendsAreMonotonicAndScanReturnsThemInOrder) {
   std::vector<std::uint64_t> offsets;
   journal.scan(7, [&](const Record& rec) { offsets.push_back(rec.offset); });
   EXPECT_EQ(offsets, (std::vector<std::uint64_t>{7, 8, 9}));
+}
+
+TEST(Journal, AnEventRecordHoldsTheCallersFrameNotACopy) {
+  MemStorage storage;
+  Journal journal{storage};
+  const wire::Frame frame{bytes_of("shared-event-bytes")};
+  journal.append_event(frame);
+  const std::vector<Record> all = scan_all(journal);
+  ASSERT_EQ(all.size(), 1u);
+  EXPECT_EQ(all[0].payload.data(), frame.data());
+  // The storage still holds its own copy: header, then the payload bytes.
+  const std::vector<std::byte> blob = storage.read(storage.list().front());
+  ASSERT_EQ(blob.size(), journal::kSegmentHeaderBytes +
+                             journal::kRecordHeaderBytes + frame.size());
+  EXPECT_TRUE(std::equal(frame.begin(), frame.end(),
+                         blob.end() - static_cast<std::ptrdiff_t>(frame.size())));
+}
+
+TEST(MemStorage, AppendAfterRemovingTheOpenBlobStartsItAfresh) {
+  MemStorage storage;
+  storage.append("a", bytes_of("old"));
+  storage.append("b", bytes_of("other"));
+  storage.append("a", bytes_of("+more"));
+  EXPECT_EQ(storage.read("a"), bytes_of("old+more"));
+  storage.remove("a");
+  storage.append("a", bytes_of("new"));
+  EXPECT_EQ(storage.read("a"), bytes_of("new"));
+  EXPECT_EQ(storage.read("b"), bytes_of("other"));
+  storage.truncate("a", 1);
+  storage.append("a", bytes_of("ow"));
+  EXPECT_EQ(storage.read("a"), bytes_of("now"));
+}
+
+TEST(MemStorage, ACopyAppendsToItsOwnBlobs) {
+  MemStorage original;
+  original.append("a", bytes_of("base"));
+  MemStorage copy = original;
+  copy.append("a", bytes_of("+copy"));
+  original.append("a", bytes_of("+orig"));
+  EXPECT_EQ(copy.read("a"), bytes_of("base+copy"));
+  EXPECT_EQ(original.read("a"), bytes_of("base+orig"));
+  copy = original;
+  copy.append("a", bytes_of("!"));
+  EXPECT_EQ(copy.read("a"), bytes_of("base+orig!"));
+  EXPECT_EQ(original.read("a"), bytes_of("base+orig"));
 }
 
 TEST(Journal, RotationSplitsSegmentsAndReopenRecoversEverything) {

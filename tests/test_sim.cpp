@@ -3,7 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <functional>
+#include <limits>
 #include <queue>
 #include <tuple>
 
@@ -247,6 +249,70 @@ std::vector<std::uint64_t> drive(std::uint64_t seed) {
   return log;
 }
 
+// A program shaped like a reliable, durable overlay under churn: link
+// timers re-arm at jittered deadlines and each firing puts frames in
+// flight, so hundreds of distinct instants and thousands of closures pend
+// at once. Some closures re-post at their own instant, which empties and
+// refills it; run_until lands exactly on a pending instant; and posts at
+// Time max, in both flavours and from their own closures, must run last in
+// post order. The last log entry is the peak pending count.
+template <class S>
+std::vector<std::uint64_t> drive_churn(std::uint64_t seed) {
+  constexpr Time kLast = std::numeric_limits<Time>::max();
+  S s;
+  util::Rng rng{seed};
+  std::vector<std::uint64_t> log;
+  std::uint64_t next_id = 0;
+  Time last_deadline = 0;
+  const auto ran = [&](std::uint64_t id) {
+    log.push_back(id);
+    log.push_back(s.now());
+  };
+  std::function<void(int)> arm = [&](int left) {
+    const std::uint64_t id = next_id++;
+    const Time at = s.now() + 1'000 + rng.below(2'000);
+    last_deadline = at;
+    std::function<void()> fn = [&, id, left] {
+      ran(id);
+      for (auto n = rng.below(3); n > 0; --n)
+        s.schedule_after(500 + rng.below(40), [&, msg = next_id++] { ran(msg); });
+      if (rng.below(8) == 0) s.schedule_after(0, [&, again = next_id++] { ran(again); });
+      if (left > 0) arm(left - 1);
+    };
+    if (rng.below(4) == 0) {
+      s.schedule_background_at(at, std::move(fn));
+    } else {
+      s.schedule_at(at, std::move(fn));
+    }
+  };
+  for (int link = 0; link < 1'000; ++link) arm(static_cast<int>(rng.below(12)));
+  std::size_t peak = s.pending();
+  for (int round = 0; round < 300; ++round) {
+    switch (rng.below(8)) {
+      case 0: log.push_back(s.step() ? 1 : 0); break;
+      case 1: s.run_until(last_deadline); break;
+      case 2: s.schedule_background_at(kLast, [&, id = next_id++] { ran(id); }); break;
+      default: log.push_back(s.run(rng.below(256))); break;
+    }
+    peak = std::max(peak, s.pending());
+    log.push_back(s.now());
+    log.push_back(s.pending());
+    log.push_back(s.pending_foreground());
+  }
+  for (int i = 0; i < 3; ++i) {
+    s.schedule_at(kLast, [&, id = next_id++] {
+      ran(id);
+      s.schedule_after(0, [&, again = next_id++] { ran(again); });
+    });
+  }
+  log.push_back(s.run(std::numeric_limits<std::size_t>::max()));
+  s.run_until(kLast);
+  log.push_back(s.now());
+  log.push_back(s.pending());
+  log.push_back(peak);
+  return log;
+}
+
 TEST(Scheduler, MatchesTheTimeSeqHeapOnRandomPrograms) {
   for (std::uint64_t seed = 1; seed <= 40; ++seed) {
     const auto fifo = drive<Scheduler>(seed);
@@ -254,6 +320,34 @@ TEST(Scheduler, MatchesTheTimeSeqHeapOnRandomPrograms) {
     ASSERT_GT(heap.size(), 1'000u);
     ASSERT_EQ(fifo, heap) << "seed " << seed;
   }
+  for (std::uint64_t seed = 1; seed <= 10; ++seed) {
+    const auto fifo = drive_churn<Scheduler>(seed);
+    const auto heap = drive_churn<HeapScheduler>(seed);
+    ASSERT_GT(heap.back(), 1'000u) << "peak pending, seed " << seed;
+    ASSERT_EQ(fifo, heap) << "seed " << seed;
+  }
+}
+
+TEST(Scheduler, PostsAtTimeMaxRunLastInPostOrder) {
+  constexpr Time kLast = std::numeric_limits<Time>::max();
+  Scheduler s;
+  std::vector<int> order;
+  s.schedule_at(kLast, [&] { order.push_back(1); });
+  s.schedule_background_at(kLast, [&] {
+    order.push_back(2);
+    s.schedule_after(7, [&] { order.push_back(5); });  // wraps, clamps to max
+  });
+  s.schedule_at(kLast - 1, [&] { order.push_back(0); });
+  s.schedule_at(kLast, [&] { order.push_back(3); });
+  s.schedule_background_after(kLast, [&] { order.push_back(4); });
+  s.run_until(kLast);
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4, 5}));
+  EXPECT_EQ(s.now(), kLast);
+  EXPECT_TRUE(s.empty());
+  s.schedule_at(0, [&] { order.push_back(6); });  // the past clamps to max
+  EXPECT_TRUE(s.step());
+  EXPECT_FALSE(s.step());
+  EXPECT_EQ(order.back(), 6);
 }
 
 TEST(Network, DeliversWithDefaultLatency) {
