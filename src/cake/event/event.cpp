@@ -103,6 +103,22 @@ void image_of_into(const Event& event, EventImage& out) {
   out.opaque_ = extra.take();
 }
 
+void encode_image(const Event& event, wire::Writer& w) {
+  const reflect::TypeInfo& info = event.type();
+  w.string(info.symbol().text);
+  w.varint(info.attributes().size());
+  for (const auto* attr : info.attributes()) {
+    w.string(attr->symbol.text);
+    w.value(attr->get(event));
+  }
+  // The opaque bytes go behind their length, so they are gathered first;
+  // the scratch writer allocates only when save_extra writes something.
+  wire::Writer extra;
+  event.save_extra(extra);
+  w.varint(extra.size());
+  w.raw(extra.bytes());
+}
+
 EventCodec& EventCodec::global() {
   static EventCodec instance;
   return instance;
@@ -127,7 +143,7 @@ std::unique_ptr<Event> EventCodec::decode(const EventImage& image) const {
 
 std::vector<std::byte> to_wire(const Event& event) {
   wire::Writer w;
-  image_of(event).encode(w);
+  encode_image(event, w);
   return wire::frame(w.bytes());
 }
 

@@ -168,6 +168,11 @@ private:
 /// scratch); attribute names ride the pre-interned registration symbols.
 void image_of_into(const Event& event, EventImage& out);
 
+/// Writes exactly the bytes `image_of(event).encode(w)` writes, straight
+/// from the reflection getters: no image and no attribute vector is built
+/// (the publisher's encode, DESIGN.md §9).
+void encode_image(const Event& event, wire::Writer& w);
+
 /// Registry of per-type factories reconstructing typed events from images.
 class EventCodec {
 public:

@@ -591,7 +591,7 @@ void Broker::send(sim::NodeId to, const Packet& packet) {
   // Only control travels here — events leave through forward_event — and
   // control is never shed (losing a ReqInsert costs whole TTLs of
   // soft-state repair).
-  link_.send_control(to, encode(packet));
+  link_.send_control(to, encode_frame(packet));
 }
 
 void Broker::send_join_at(sim::NodeId subscriber, sim::NodeId target,

@@ -465,7 +465,7 @@ void SubscriberNode::renew_task() {
 }
 
 void SubscriberNode::send(sim::NodeId to, const Packet& packet) {
-  link_.send_control(to, encode(packet));
+  link_.send_control(to, encode_frame(packet));
 }
 
 PublisherNode::PublisherNode(sim::NodeId id, sim::NodeId root,
@@ -485,14 +485,11 @@ PublisherNode::PublisherNode(sim::NodeId id, sim::NodeId root,
 }
 
 void PublisherNode::advertise(weaken::StageSchema schema) {
-  link_.send_control(root_, encode(Advertise{std::move(schema)}));
+  link_.send_control(root_, encode_frame(Advertise{std::move(schema)}));
 }
 
-std::uint64_t PublisherNode::publish(const event::Event& event) {
-  return publish(event::image_of(event));
-}
-
-std::uint64_t PublisherNode::publish(event::EventImage image) {
+template <class Encode>
+std::uint64_t PublisherNode::publish_with(Encode&& encode) {
   ++stats_.events_published;
   const std::uint64_t event_id =
       (static_cast<std::uint64_t>(id_) << 32) | next_seq_++;
@@ -511,12 +508,26 @@ std::uint64_t PublisherNode::publish(event::EventImage image) {
   // Serialize once into a pooled frame; every downstream hop that passes
   // through refcounts these exact bytes (DESIGN.md §9).
   const sim::Network::Payload payload =
-      encode_event_frame(image, transport_.now(), event_id, trace_id);
+      encode(transport_.now(), event_id, trace_id);
   // Recorder tap: capture the exact wire bytes, so a replay re-drives
   // byte-identical frames (same event ids, same published_at stamps).
   if (record_journal_ != nullptr) record_journal_->append_event(payload);
   link_.send_event(root_, payload);
   return event_id;
+}
+
+std::uint64_t PublisherNode::publish(const event::Event& event) {
+  return publish_with([&event](sim::Time at, std::uint64_t event_id,
+                               std::uint64_t trace_id) {
+    return encode_event_frame(event, at, event_id, trace_id);
+  });
+}
+
+std::uint64_t PublisherNode::publish(event::EventImage image) {
+  return publish_with([&image](sim::Time at, std::uint64_t event_id,
+                               std::uint64_t trace_id) {
+    return encode_event_frame(image, at, event_id, trace_id);
+  });
 }
 
 }  // namespace cake::routing

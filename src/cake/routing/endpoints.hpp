@@ -294,12 +294,14 @@ public:
     record_journal_ = journal;
   }
 
-  /// Publishes a typed event (image extracted via reflection — the user
-  /// never marshals). Returns the event id carried on the wire (and used
-  /// as the trace id when the event is sampled).
+  /// Publishes a typed event, encoded straight from its reflection getters
+  /// (the user never marshals, and no image is built). Returns the event id
+  /// carried on the wire (and used as the trace id when the event is
+  /// sampled).
   std::uint64_t publish(const event::Event& event);
 
-  /// Publishes a pre-built image (workload generators).
+  /// Publishes a pre-built image (workload generators). The frame is
+  /// byte-identical to publishing the event the image was taken from.
   std::uint64_t publish(event::EventImage image);
 
   [[nodiscard]] sim::NodeId id() const noexcept { return id_; }
@@ -309,6 +311,12 @@ public:
   }
 
 private:
+  /// The tail both publish overloads share: event id, trace span, the
+  /// frame `encode(published_at, event_id, trace_id)` returns, recorder
+  /// tap and send.
+  template <class Encode>
+  std::uint64_t publish_with(Encode&& encode);
+
   sim::NodeId id_;
   sim::NodeId root_;
   sim::Network& network_;

@@ -29,6 +29,25 @@ static_assert(static_cast<std::uint8_t>(Tag::Nack) == link::kNackTag);
 static_assert(static_cast<std::uint8_t>(Tag::Heartbeat) == link::kHeartbeatTag);
 static_assert(static_cast<std::uint8_t>(Tag::Credit) == link::kCreditTag);
 
+/// The EventMsg fields ahead of its image, tag included.
+void write_event_header(wire::Writer& w, sim::Time published_at,
+                        std::uint64_t event_id, std::uint64_t trace_id) {
+  w.u8(static_cast<std::uint8_t>(Tag::Event));
+  w.varint(published_at);
+  w.varint(event_id);
+  w.varint(trace_id);
+}
+
+/// A frame of what `body(writer)` writes, framed in place into a pooled
+/// buffer.
+template <class Body>
+sim::Network::Payload pooled_frame(Body&& body) {
+  wire::Writer w = wire::Writer::pooled();
+  w.begin_frame();
+  body(w);
+  return w.end_frame();
+}
+
 struct Encoder {
   wire::Writer& w;
 
@@ -85,10 +104,7 @@ struct Encoder {
     w.varint(m.child);
   }
   void operator()(const EventMsg& m) const {
-    w.u8(static_cast<std::uint8_t>(Tag::Event));
-    w.varint(m.published_at);
-    w.varint(m.event_id);
-    w.varint(m.trace_id);
+    write_event_header(w, m.published_at, m.event_id, m.trace_id);
     m.image.encode(w);
   }
   void operator()(const Ack& m) const {
@@ -116,24 +132,34 @@ static_assert(static_cast<std::uint8_t>(Tag::Event) == kEventPacketClass,
 
 }  // namespace
 
+sim::Network::Payload encode_frame(const Packet& packet) {
+  return pooled_frame(
+      [&packet](wire::Writer& w) { std::visit(Encoder{w}, packet); });
+}
+
 std::vector<std::byte> encode(const Packet& packet) {
-  wire::Writer w;
-  std::visit(Encoder{w}, packet);
-  return wire::frame(w.bytes());
+  const sim::Network::Payload frame = encode_frame(packet);
+  return {frame.begin(), frame.end()};
 }
 
 sim::Network::Payload encode_event_frame(const event::EventImage& image,
                                          sim::Time published_at,
                                          std::uint64_t event_id,
                                          std::uint64_t trace_id) {
-  wire::Writer w = wire::Writer::pooled();
-  w.begin_frame();
-  w.u8(static_cast<std::uint8_t>(Tag::Event));
-  w.varint(published_at);
-  w.varint(event_id);
-  w.varint(trace_id);
-  image.encode(w);
-  return w.end_frame();
+  return pooled_frame([&](wire::Writer& w) {
+    write_event_header(w, published_at, event_id, trace_id);
+    image.encode(w);
+  });
+}
+
+sim::Network::Payload encode_event_frame(const event::Event& event,
+                                         sim::Time published_at,
+                                         std::uint64_t event_id,
+                                         std::uint64_t trace_id) {
+  return pooled_frame([&](wire::Writer& w) {
+    write_event_header(w, published_at, event_id, trace_id);
+    event::encode_image(event, w);
+  });
 }
 
 namespace {

@@ -125,16 +125,24 @@ using Packet = std::variant<Advertise, Subscribe, JoinAt, AcceptedAt,
                             ReqInsert, Renew, Unsub, Expired, Detach, Resume,
                             EventMsg, Ack, Nack, Heartbeat, Credit>;
 
-/// Serializes a packet into a checksummed frame ready for Network::send
-/// (the Payload conversion wraps the vector). Control-path helper; event
-/// traffic uses `encode_event_frame`, which pools its buffer.
+/// Serializes a packet straight into a pooled, refcounted checksummed
+/// frame ready for Network::send: no payload copy, no fresh buffer.
+[[nodiscard]] sim::Network::Payload encode_frame(const Packet& packet);
+
+/// The bytes of `encode_frame(packet)` as a plain, mutable vector (tests).
 [[nodiscard]] std::vector<std::byte> encode(const Packet& packet);
 
 /// Serializes an EventMsg-class packet straight into a pooled, refcounted
-/// frame — byte-identical to `encode(EventMsg{...})` but without the
-/// payload copy or fresh buffer.
+/// frame — byte-identical to `encode(EventMsg{...})` but without building
+/// the EventMsg.
 [[nodiscard]] sim::Network::Payload encode_event_frame(
     const event::EventImage& image, sim::Time published_at,
+    std::uint64_t event_id, std::uint64_t trace_id);
+/// Same, encoding the image straight from the event's reflection getters
+/// (`event::encode_image`): byte-identical to the overload above fed
+/// `image_of(event)`, with no image built.
+[[nodiscard]] sim::Network::Payload encode_event_frame(
+    const event::Event& event, sim::Time published_at,
     std::uint64_t event_id, std::uint64_t trace_id);
 
 /// Parses a frame; throws wire::WireError on corruption or unknown tags.

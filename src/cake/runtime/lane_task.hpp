@@ -1,7 +1,8 @@
-// The unit a ThreadedTransport lane queues (DESIGN.md §11): a move-only
-// task with 64 bytes of inline room and no heap fallback, so queueing one
-// never allocates. The fabric's `{Network*, Delivery}` frame capture fills
-// it exactly; a `runtime::Task` (a 32-byte std::function) rides the same way.
+// The unit a ThreadedTransport lane queues (DESIGN.md §11) and a Sim
+// scheduler item holds (§9): a move-only task with 64 bytes of inline room
+// and no heap fallback, so queueing one never allocates. The Network's
+// `{Network*, Delivery}` frame capture fills it exactly; a `runtime::Task`
+// (a 32-byte std::function) rides the same way.
 #pragma once
 
 #include <cstddef>

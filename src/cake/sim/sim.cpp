@@ -7,7 +7,7 @@
 
 namespace cake::sim {
 
-void Scheduler::push(Time at, std::function<void()> fn, bool background) {
+void Scheduler::push(Time at, runtime::LaneTask&& fn, bool background) {
   if (free_ == nullptr) {
     free_ = chunks_.emplace_back(std::make_unique<Item[]>(kChunkItems)).get();
     for (std::size_t i = 0; i + 1 < kChunkItems; ++i)
@@ -15,7 +15,9 @@ void Scheduler::push(Time at, std::function<void()> fn, bool background) {
   }
   Item* item = free_;
   free_ = item->next;
-  *item = Item{std::move(fn), nullptr, background};
+  item->fn = std::move(fn);
+  item->next = nullptr;
+  item->background = background;
   at = std::max(at, now_);
   Fifo& fifo = fifo_at(at);
   if (fifo.head == nullptr) {
@@ -31,15 +33,23 @@ void Scheduler::push(Time at, std::function<void()> fn, bool background) {
 }
 
 void Scheduler::schedule_at(Time at, std::function<void()> fn) {
-  push(at, std::move(fn), false);
+  push(at, runtime::LaneTask{std::move(fn)}, false);
 }
 
 void Scheduler::schedule_after(Time delay, std::function<void()> fn) {
   schedule_at(now_ + delay, std::move(fn));
 }
 
+void Scheduler::schedule_at(Time at, runtime::LaneTask task) {
+  push(at, std::move(task), false);
+}
+
+void Scheduler::schedule_after(Time delay, runtime::LaneTask task) {
+  push(now_ + delay, std::move(task), false);
+}
+
 void Scheduler::schedule_background_at(Time at, std::function<void()> fn) {
-  push(at, std::move(fn), true);
+  push(at, runtime::LaneTask{std::move(fn)}, true);
 }
 
 void Scheduler::schedule_background_after(Time delay, std::function<void()> fn) {
@@ -65,7 +75,7 @@ bool Scheduler::step() {
     Scheduler& self;
     Item* item;
     ~Recycle() {
-      item->fn = nullptr;
+      item->fn.reset();
       item->next = std::exchange(self.free_, item);
     }
   } recycle_after{*this, item};
@@ -130,7 +140,10 @@ void Network::attach(NodeId node, TaggedHandler handler) {
       std::make_unique<TaggedHandler>(std::move(handler)));
   chunk->slots[node % kHandlerChunk].store(fresh.get(),
                                            std::memory_order_release);
-  if (node >= received_.size()) received_.resize(node + std::size_t{1});
+  // Sized here so sim-mode deliveries never grow it (fabric lanes grow
+  // their own tallies on first delivery).
+  if (node >= tally_.received.size())
+    tally_.received.resize(node + std::size_t{1});
 }
 
 void Network::detach(NodeId node) {
@@ -208,32 +221,13 @@ void Network::send(NodeId from, NodeId to, Payload payload,
   }
   duplicated_ += action.copies - 1;
 
+  // Each copy rides in its scheduler item: steady-state delivery never
+  // allocates once the item free list covers the in-flight peak.
   const Time delay = link.latency + action.extra_latency;
   for (std::uint32_t copy = 0; copy + 1 < action.copies; ++copy)
-    schedule_delivery(from, to, delay, payload, tag);
-  schedule_delivery(from, to, delay, std::move(payload), tag);
-}
-
-void Network::schedule_delivery(NodeId from, NodeId to, Time delay,
-                                Payload payload, const LinkTag& tag) {
-  // Park the message in a pooled slot: the closure captures 12 bytes and
-  // fits std::function's inline storage, so steady-state delivery never
-  // allocates (the slot vector stops growing once it covers the peak
-  // in-flight count).
-  std::uint32_t slot;
-  if (free_slots_.empty()) {
-    slot = static_cast<std::uint32_t>(delivery_slots_.size());
-    delivery_slots_.emplace_back();
-  } else {
-    slot = free_slots_.back();
-    free_slots_.pop_back();
-  }
-  Delivery& d = delivery_slots_[slot];
-  d.from = from;
-  d.to = to;
-  d.payload = std::move(payload);
-  d.tag = tag;
-  scheduler_.schedule_after(delay, [this, slot] { deliver(slot); });
+    scheduler_.schedule_after(delay, delivery_task({from, to, payload, tag}));
+  scheduler_.schedule_after(
+      delay, delivery_task({from, to, std::move(payload), tag}));
 }
 
 void Network::threaded_send(NodeId from, NodeId to, Payload payload,
@@ -252,39 +246,22 @@ void Network::threaded_send(NodeId from, NodeId to, Payload payload,
     stats.bytes += size;
   }
   // One frame, one 64-byte lane task on lane `to % workers`.
-  Delivery d{from, to, std::move(payload), tag};
-  f.transport->post(to, runtime::LaneTask{[this, d = std::move(d)] {
-                      deliver_on_lane(d);
-                    }});
+  f.transport->post(to, delivery_task({from, to, std::move(payload), tag}));
 }
 
-void Network::deliver_on_lane(const Delivery& d) {
-  LaneSlot& slot = fabric_->slots[runtime::current_lane()];
+void Network::deliver(const Delivery& d) {
+  Tally& tally =
+      fabric_ ? fabric_->slots[runtime::current_lane()].tally : tally_;
   // The handler table is lane-safe (see attach), so the lookup needs no lock.
   TaggedHandler* handler = handler_of(d.to);
   if (handler == nullptr) {
-    ++slot.undeliverable;
+    ++tally.undeliverable;  // crashed / detached peer
     return;
   }
-  ++slot.delivered;
-  if (d.to >= slot.received.size()) slot.received.resize(d.to + std::size_t{1});
-  ++slot.received[d.to];
-  (*handler)(d.from, d.payload, d.tag);
-}
-
-void Network::deliver(std::uint32_t slot) {
-  // Move the record out and recycle the slot *before* running the handler:
-  // handlers send more messages, which may claim it again.
-  Delivery d = std::move(delivery_slots_[slot]);
-  delivery_slots_[slot] = Delivery{};
-  free_slots_.push_back(slot);
-  TaggedHandler* handler = handler_of(d.to);
-  if (handler == nullptr) {
-    ++undeliverable_;  // crashed / detached peer
-    return;
-  }
-  ++delivered_;
-  ++received_[d.to];  // sized by attach
+  ++tally.delivered;
+  if (d.to >= tally.received.size())
+    tally.received.resize(d.to + std::size_t{1});
+  ++tally.received[d.to];
   (*handler)(d.from, d.payload, d.tag);
 }
 
@@ -297,16 +274,17 @@ std::uint64_t Network::total_bytes() const noexcept {
 }
 
 std::uint64_t Network::delivered() const noexcept {
-  if (!fabric_) return delivered_;
+  if (!fabric_) return tally_.delivered;
   std::uint64_t total = 0;
-  for (const LaneSlot& slot : fabric_->slots) total += slot.delivered;
+  for (const LaneSlot& slot : fabric_->slots) total += slot.tally.delivered;
   return total;
 }
 
 std::uint64_t Network::undeliverable() const noexcept {
-  if (!fabric_) return undeliverable_;
+  if (!fabric_) return tally_.undeliverable;
   std::uint64_t total = 0;
-  for (const LaneSlot& slot : fabric_->slots) total += slot.undeliverable;
+  for (const LaneSlot& slot : fabric_->slots)
+    total += slot.tally.undeliverable;
   return total;
 }
 
@@ -332,11 +310,13 @@ LinkStats Network::link(NodeId from, NodeId to) const noexcept {
 std::uint64_t Network::received_by(NodeId node) const noexcept {
   if (fabric_) {
     std::uint64_t total = 0;
-    for (const LaneSlot& slot : fabric_->slots)
-      if (node < slot.received.size()) total += slot.received[node];
+    for (const LaneSlot& slot : fabric_->slots) {
+      const std::vector<std::uint64_t>& received = slot.tally.received;
+      if (node < received.size()) total += received[node];
+    }
     return total;
   }
-  return node < received_.size() ? received_[node] : 0;
+  return node < tally_.received.size() ? tally_.received[node] : 0;
 }
 
 }  // namespace cake::sim

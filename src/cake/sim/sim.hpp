@@ -21,6 +21,7 @@
 #include <vector>
 
 #include "cake/metrics/lane_counters.hpp"
+#include "cake/runtime/lane_task.hpp"
 #include "cake/runtime/threaded.hpp"
 #include "cake/util/flat_table.hpp"
 #include "cake/util/rng.hpp"
@@ -50,9 +51,12 @@ inline constexpr NodeId kNoNode = std::numeric_limits<NodeId>::max();
 /// order is exactly (time, post order) without a sequence number. The
 /// FIFOs sit in an open-addressed table keyed by instant, and a min-heap
 /// holds each instant with pending work once. Items come from a free list
-/// cut from fixed chunks, so a running closure's item never moves. Once
-/// all three cover the peak backlog, posting and stepping allocate nothing
-/// (DESIGN.md §9).
+/// cut from fixed chunks, so a running closure's item never moves. Each
+/// item holds its closure as a `runtime::LaneTask` (64 inline bytes): a
+/// `std::function` post rides in it as is, and a LaneTask post (the
+/// Network's `{Network*, Delivery}` hop) keeps its whole capture there.
+/// Once all three cover the peak backlog, posting and stepping allocate
+/// nothing (DESIGN.md §9).
 class Scheduler {
 public:
   Scheduler() = default;
@@ -71,6 +75,11 @@ public:
 
   /// Schedules `fn` `delay` after now.
   void schedule_after(Time delay, std::function<void()> fn);
+
+  /// Same, for a task whose capture fits the item's 64 inline bytes: it is
+  /// stored in place, with no std::function around it.
+  void schedule_at(Time at, runtime::LaneTask task);
+  void schedule_after(Time delay, runtime::LaneTask task);
 
   /// Background variants: run() does not wait for these.
   void schedule_background_at(Time at, std::function<void()> fn);
@@ -95,7 +104,7 @@ public:
 
 private:
   struct Item {
-    std::function<void()> fn;
+    runtime::LaneTask fn;
     Item* next = nullptr;
     bool background = false;
   };
@@ -105,7 +114,7 @@ private:
     Item* tail = nullptr;
   };
 
-  void push(Time at, std::function<void()> fn, bool background);
+  void push(Time at, runtime::LaneTask&& fn, bool background);
   /// The FIFO of instant `at`, created empty when absent. The table cannot
   /// key `Time` max (its empty marker), so that instant has its own FIFO.
   Fifo& fifo_at(Time at) {
@@ -122,7 +131,9 @@ private:
   Time now_ = 0;
   std::size_t pending_ = 0;
   std::size_t foreground_pending_ = 0;
-  // Last, so pending closures die while the rest is still intact.
+  // Last, so pending closures die while the rest is still intact. A
+  // pending delivery's frame is released here, without touching the
+  // Network that posted it (which may already be gone).
   std::vector<std::unique_ptr<Item[]>> chunks_;
 };
 
@@ -258,19 +269,23 @@ private:
     return (static_cast<std::uint64_t>(from) << 32) | to;
   }
 
-  void schedule_delivery(NodeId from, NodeId to, Time delay, Payload payload,
-                         const LinkTag& tag);
-  void deliver(std::uint32_t slot);
-
-  /// In-flight message parked until its delivery time. Slots are pooled so
-  /// the scheduler closure captures only {this, slot} — small enough for
-  /// std::function's inline storage, i.e. no allocation per hop.
+  /// One message in flight. With the Network pointer it fills a
+  /// `runtime::LaneTask` exactly, so both backends carry it in the task
+  /// that delivers it: a scheduler item in sim mode, a lane task in fabric
+  /// mode. The handler reads it in place; nothing is pooled or moved out.
   struct Delivery {
     NodeId from = kNoNode;
     NodeId to = kNoNode;
     Payload payload;
     LinkTag tag;
   };
+  /// The task delivering `d`.
+  [[nodiscard]] runtime::LaneTask delivery_task(Delivery d) {
+    return runtime::LaneTask{[this, d = std::move(d)] { deliver(d); }};
+  }
+  /// Runs the receive handler of `d.to`, or counts the copy undeliverable.
+  /// Sim and fabric mode differ only in which tally they count into.
+  void deliver(const Delivery& d);
 
   /// One directed link: its traffic so far and its latency, so a send
   /// makes one table probe for both (fabric mode keeps latency 0).
@@ -282,13 +297,19 @@ private:
   /// kMaxNodes.
   using LinkTable = util::FlatTable<std::uint64_t, Link>;
 
+  /// What deliver() counts: copies handed to a handler, copies that found
+  /// none, and deliveries per node id.
+  struct Tally {
+    std::uint64_t delivered = 0;
+    std::uint64_t undeliverable = 0;
+    std::vector<std::uint64_t> received;  ///< by NodeId
+  };
+
   /// Fabric accounting: slot i is written only by lane i's worker, the
   /// overflow slot (links only) by outside threads under `overflow_mutex`.
   struct alignas(64) LaneSlot {
     LinkTable links;
-    std::uint64_t delivered = 0;
-    std::uint64_t undeliverable = 0;
-    std::vector<std::uint64_t> received;  ///< by NodeId
+    Tally tally;
   };
 
   struct Fabric {
@@ -303,7 +324,6 @@ private:
 
   void threaded_send(NodeId from, NodeId to, Payload payload,
                      const LinkTag& tag);
-  void deliver_on_lane(const Delivery& d);
 
   /// The receive handler of `node`, or null when it is not attached.
   [[nodiscard]] TaggedHandler* handler_of(NodeId node) const noexcept {
@@ -324,9 +344,9 @@ private:
   // Conservation law, once the scheduler is drained:
   //   total_messages() + duplicated() == delivered() + dropped() + undeliverable()
   std::uint64_t dropped_ = 0;
-  std::uint64_t delivered_ = 0;
-  std::uint64_t undeliverable_ = 0;
   std::uint64_t duplicated_ = 0;
+  // Sim-mode deliveries (fabric mode tallies per lane instead).
+  Tally tally_;
   // Receive handlers by node id. Lanes read the table while another lane
   // may attach a node, so nothing a reader can reach ever moves: slots sit
   // in fixed-size chunks published through atomic pointers, and a replaced
@@ -341,13 +361,8 @@ private:
   std::vector<std::unique_ptr<HandlerChunk>> chunk_store_;
   std::vector<std::unique_ptr<TaggedHandler>> handler_store_;
   std::mutex attach_mu_;
-  // Sim-mode deliveries per node id, sized by attach (fabric mode counts
-  // per lane instead).
-  std::vector<std::uint64_t> received_;
   LinkTable links_;
   LinkStats total_;
-  std::vector<Delivery> delivery_slots_;
-  std::vector<std::uint32_t> free_slots_;
   std::unique_ptr<Fabric> fabric_;
 };
 

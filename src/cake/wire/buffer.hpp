@@ -148,6 +148,11 @@ public:
     return holder_ ? storage().size() - offset_ : 0;
   }
   [[nodiscard]] bool empty() const noexcept { return size() == 0; }
+  /// Frames sharing these bytes (0 for a frame without a buffer). Exact
+  /// only while no other thread copies or drops one of them.
+  [[nodiscard]] std::uint32_t use_count() const noexcept {
+    return holder_ ? holder_->refs.load(std::memory_order_relaxed) : 0;
+  }
   [[nodiscard]] const std::byte* data() const noexcept { return bytes().data(); }
   const std::byte& operator[](std::size_t i) const noexcept {
     return bytes()[i];

@@ -1,5 +1,6 @@
 #include "cake/wire/wire.hpp"
 
+#include <array>
 #include <bit>
 #include <cassert>
 #include <cstring>
@@ -15,6 +16,28 @@ namespace {
 // up to 2^35-1, far beyond any packet this system frames.
 constexpr std::size_t kLenGap = 5;
 
+// Widest LEB128 varint: 10 bytes hold 64 bits.
+constexpr std::size_t kMaxVarint = 10;
+
+/// Writes `v` as a LEB128 varint into `out`; returns the bytes written.
+std::size_t put_varint(std::byte* out, std::uint64_t v) noexcept {
+  std::size_t n = 0;
+  while (v >= 0x80) {
+    out[n++] = static_cast<std::byte>(static_cast<std::uint8_t>(v) | 0x80);
+    v >>= 7;
+  }
+  out[n++] = static_cast<std::byte>(v);
+  return n;
+}
+
+/// `v` little-endian, the f64 and checksum layout.
+std::array<std::byte, 8> le64(std::uint64_t v) noexcept {
+  std::array<std::byte, 8> out{};
+  for (std::size_t i = 0; i < 8; ++i)
+    out[i] = static_cast<std::byte>(static_cast<std::uint8_t>(v >> (8 * i)));
+  return out;
+}
+
 }  // namespace
 
 Writer Writer::pooled() {
@@ -23,14 +46,13 @@ Writer Writer::pooled() {
   return w;
 }
 
-void Writer::u8(std::uint8_t v) { buf_.push_back(static_cast<std::byte>(v)); }
-
 void Writer::varint(std::uint64_t v) {
-  while (v >= 0x80) {
-    u8(static_cast<std::uint8_t>(v) | 0x80);
-    v >>= 7;
+  if (v < 0x80) {
+    u8(static_cast<std::uint8_t>(v));
+    return;
   }
-  u8(static_cast<std::uint8_t>(v));
+  std::byte bytes[kMaxVarint]{};
+  buf_.insert(buf_.end(), bytes, bytes + put_varint(bytes, v));
 }
 
 void Writer::zigzag(std::int64_t v) {
@@ -39,8 +61,7 @@ void Writer::zigzag(std::int64_t v) {
 }
 
 void Writer::f64(double v) {
-  auto bits = std::bit_cast<std::uint64_t>(v);
-  for (int i = 0; i < 8; ++i) u8(static_cast<std::uint8_t>(bits >> (8 * i)));
+  raw(le64(std::bit_cast<std::uint64_t>(v)));
 }
 
 void Writer::string(std::string_view s) {
@@ -74,39 +95,27 @@ Frame Writer::end_frame() {
   assert(framing_);
   framing_ = false;
   const std::size_t payload_len = buf_.size() - kLenGap;
-  const std::uint64_t sum =
-      fnv1a(std::span<const std::byte>{buf_.data() + kLenGap, payload_len});
-  for (int i = 0; i < 8; ++i)
-    u8(static_cast<std::uint8_t>(sum >> (8 * i)));
+  raw(le64(fnv1a(
+      std::span<const std::byte>{buf_.data() + kLenGap, payload_len})));
   // Right-align the minimal varint inside the gap so the frame's visible
   // bytes match `frame()` exactly; the Frame offset skips the slack.
-  std::byte prefix[kLenGap];
-  std::size_t n = 0;
-  std::uint64_t v = payload_len;
-  while (v >= 0x80) {
-    prefix[n++] = static_cast<std::byte>(static_cast<std::uint8_t>(v) | 0x80);
-    v >>= 7;
-  }
-  prefix[n++] = static_cast<std::byte>(v);
+  std::byte prefix[kMaxVarint]{};
+  const std::size_t n = put_varint(prefix, payload_len);
   assert(n <= kLenGap);
   const std::size_t offset = kLenGap - n;
   std::memcpy(buf_.data() + offset, prefix, n);
   return Frame{Frame::make_holder(std::move(buf_)), offset};
 }
 
-void Reader::need(std::size_t n) const {
-  if (remaining() < n) throw WireError{"wire: truncated input"};
-}
+void Reader::truncated() { throw WireError{"wire: truncated input"}; }
 
-std::uint8_t Reader::u8() {
-  need(1);
-  return static_cast<std::uint8_t>(buf_[pos_++]);
-}
-
-std::uint64_t Reader::varint() {
+std::uint64_t Reader::varint_long() {
+  // With a whole varint's worth of bytes left, one check covers them all.
+  const bool room = remaining() >= kMaxVarint;
   std::uint64_t v = 0;
   for (int shift = 0; shift < 64; shift += 7) {
-    const std::uint8_t b = u8();
+    const std::uint8_t b =
+        room ? static_cast<std::uint8_t>(buf_[pos_++]) : u8();
     v |= static_cast<std::uint64_t>(b & 0x7f) << shift;
     if ((b & 0x80) == 0) return v;
   }
@@ -183,9 +192,7 @@ std::vector<std::byte> frame(std::span<const std::byte> payload) {
   Writer w;
   w.varint(payload.size());
   w.raw(payload);
-  const std::uint64_t sum = fnv1a(payload);
-  for (int i = 0; i < 8; ++i)
-    w.u8(static_cast<std::uint8_t>(sum >> (8 * i)));
+  w.raw(le64(fnv1a(payload)));
   return w.take();
 }
 

@@ -42,8 +42,8 @@ public:
   [[nodiscard]] std::vector<std::byte> take() noexcept { return std::move(buf_); }
   [[nodiscard]] std::size_t size() const noexcept { return buf_.size(); }
 
-  void u8(std::uint8_t v);
-  /// Unsigned LEB128 varint (1-10 bytes).
+  void u8(std::uint8_t v) { buf_.push_back(static_cast<std::byte>(v)); }
+  /// Unsigned LEB128 varint (1-10 bytes), appended in one insert.
   void varint(std::uint64_t v);
   /// Signed integer, zigzag-encoded then varint.
   void zigzag(std::int64_t v);
@@ -78,8 +78,21 @@ public:
   [[nodiscard]] std::size_t remaining() const noexcept { return buf_.size() - pos_; }
   [[nodiscard]] bool done() const noexcept { return remaining() == 0; }
 
-  [[nodiscard]] std::uint8_t u8();
-  [[nodiscard]] std::uint64_t varint();
+  [[nodiscard]] std::uint8_t u8() {
+    if (pos_ == buf_.size()) truncated();
+    return static_cast<std::uint8_t>(buf_[pos_++]);
+  }
+  /// A one-byte varint is read inline; longer ones take `varint_long`.
+  [[nodiscard]] std::uint64_t varint() {
+    if (pos_ < buf_.size()) {
+      const auto b = static_cast<std::uint8_t>(buf_[pos_]);
+      if (b < 0x80) {
+        ++pos_;
+        return b;
+      }
+    }
+    return varint_long();
+  }
   /// Reads a varint element count and validates it against the bytes left
   /// (each element needs at least `min_bytes_each`); throws WireError on
   /// impossible counts. Prevents attacker-controlled pre-allocations.
@@ -101,7 +114,11 @@ private:
   std::span<const std::byte> buf_;
   std::size_t pos_ = 0;
 
-  void need(std::size_t n) const;
+  void need(std::size_t n) const {
+    if (remaining() < n) truncated();
+  }
+  [[noreturn]] static void truncated();
+  [[nodiscard]] std::uint64_t varint_long();
 };
 
 /// FNV-1a 64-bit checksum of a byte range.

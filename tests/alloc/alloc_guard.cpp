@@ -590,8 +590,9 @@ TEST(AllocGuard, SchedulerOverHundredsOfInstantsIsAllocationFreeOnceWarm) {
   sim::Scheduler sched;
   std::uint64_t ran = 0;
   // One cycle: 4000 closures over 600 instants of the next 3 ms, a tenth of
-  // them re-posting at their own instant, then a drain. Captures stay
-  // within std::function's inline storage, as the Network's do.
+  // them re-posting at their own instant, then a drain. std::function
+  // captures stay within its inline storage; the LaneTask posts carry a
+  // full 64-byte capture, as the Network's delivery tasks do.
   const auto cycle = [&] {
     for (std::uint64_t i = 0; i < 4'000; ++i) {
       const sim::Time at = sched.now() + 1 + (i * 7919) % 600 * 5;
@@ -602,6 +603,11 @@ TEST(AllocGuard, SchedulerOverHundredsOfInstantsIsAllocationFreeOnceWarm) {
         });
       } else if (i % 4 == 0) {
         sched.schedule_background_at(at, [&ran] { ++ran; });
+      } else if (i % 3 == 0) {
+        const auto wide = [words = std::array<std::uint64_t, 7>{i, 1},
+                           out = &ran] { *out += words[1]; };
+        static_assert(sizeof(wide) == runtime::LaneTask::kInline);
+        sched.schedule_at(at, runtime::LaneTask{wide});
       } else {
         sched.schedule_at(at, [&ran] { ++ran; });
       }

@@ -3,7 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
+#include <string>
 
 #include "cake/util/rng.hpp"
 #include "cake/workload/generators.hpp"
@@ -210,6 +212,71 @@ TEST(Protocol, PacketClassIsSafeOnMalformedFrames) {
   auto frame = encode(Packet{Detach{4}});
   frame.resize(1);  // length byte only, no tag
   EXPECT_EQ(packet_class(frame), 0xff);
+}
+
+
+// An event whose non-attribute state crosses the wire as opaque bytes,
+// longer than 127 so their length prefix takes two varint bytes.
+class Stamped final : public event::EventOf<Stamped> {
+public:
+  Stamped(std::string note, double weight)
+      : note_(std::move(note)), weight_(weight) {}
+  void save_extra(wire::Writer& w) const override {
+    w.string(note_);
+    w.f64(weight_);
+    w.zigzag(-3);
+  }
+  [[nodiscard]] const std::string& note() const noexcept { return note_; }
+  [[nodiscard]] bool heavy() const noexcept { return weight_ > 1.0; }
+
+private:
+  std::string note_;
+  double weight_;
+};
+
+void expect_frames_match(const event::Event& event, std::uint64_t n) {
+  const sim::Time at = 1'000 * n;
+  const std::uint64_t id = (std::uint64_t{3} << 32) | n;
+  const std::uint64_t trace = n % 3 == 0 ? 0 : id;
+  const sim::Network::Payload direct = encode_event_frame(event, at, id, trace);
+  const event::EventImage image = event::image_of(event);
+  const sim::Network::Payload via_image =
+      encode_event_frame(image, at, id, trace);
+  ASSERT_EQ(direct, via_image) << image.to_string();
+  // And the copying control-path encoder agrees on the very same bytes.
+  const std::vector<std::byte> copied =
+      encode(Packet{EventMsg{image, at, id, trace}});
+  ASSERT_TRUE(std::equal(copied.begin(), copied.end(), direct.begin(),
+                         direct.end()))
+      << image.to_string();
+}
+
+// The publisher encodes straight from the reflection getters; every event
+// shape the generators make must come out byte for byte as the image path.
+TEST(Protocol, EventFrameFromGettersMatchesTheImageFrame) {
+  workload::ensure_types_registered();
+  auto& registry = reflect::TypeRegistry::global();
+  if (!registry.contains<Stamped>()) {
+    reflect::TypeBuilder<Stamped>{registry, "Stamped"}
+        .attr("note", &Stamped::note)
+        .attr("heavy", &Stamped::heavy)
+        .finalize();
+  }
+  std::uint64_t n = 0;
+  for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+    workload::BiblioGenerator biblio{workload::BiblioConfig{}, seed};
+    workload::StockGenerator stocks{workload::StockConfig{}, seed};
+    workload::AuctionGenerator auctions{workload::AuctionConfig{}, seed};
+    for (int i = 0; i < 200; ++i) {
+      expect_frames_match(workload::Publication{biblio.next_event()}, ++n);
+      expect_frames_match(stocks.next(), ++n);
+      expect_frames_match(*auctions.next(), ++n);
+    }
+  }
+  expect_frames_match(workload::Stock{"", -0.0, 0}, ++n);
+  expect_frames_match(Stamped{std::string(200, 'n'), 2.5}, ++n);
+  expect_frames_match(Stamped{"", 0.5}, ++n);
+  ASSERT_FALSE(event::image_of(Stamped{"x", 1.0}).opaque().empty());
 }
 
 }  // namespace

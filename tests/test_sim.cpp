@@ -4,8 +4,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <functional>
 #include <limits>
+#include <memory>
 #include <queue>
 #include <tuple>
 
@@ -152,6 +154,15 @@ public:
   void schedule_after(Time delay, std::function<void()> fn) {
     schedule_at(now_ + delay, std::move(fn));
   }
+  // A LaneTask is move-only; the oracle shares it into a std::function.
+  void schedule_at(Time at, runtime::LaneTask task) {
+    schedule_at(at, [t = std::make_shared<runtime::LaneTask>(std::move(task))] {
+      (*t)();
+    });
+  }
+  void schedule_after(Time delay, runtime::LaneTask task) {
+    schedule_at(now_ + delay, std::move(task));
+  }
   void schedule_background_at(Time at, std::function<void()> fn) {
     push(at, std::move(fn), true);
   }
@@ -202,9 +213,11 @@ private:
 
 // Drives a scheduler through a seeded random program — foreground and
 // background posts, absolute, relative and past (clamped) times, closures
-// that post more work at their own instant, interleaved with step(),
-// run(max_steps) and run_until() — and logs every observable: which closure
-// ran at what time, each call's result, the clock and the pending counts.
+// that post more work at their own instant, std::function posts mixed with
+// 64-byte LaneTask captures (the Network's delivery task size), interleaved
+// with step(), run(max_steps) and run_until() — and logs every observable:
+// which closure ran at what time, each call's result, the clock and the
+// pending counts.
 template <class S>
 std::vector<std::uint64_t> drive(std::uint64_t seed) {
   S s;
@@ -220,7 +233,17 @@ std::vector<std::uint64_t> drive(std::uint64_t seed) {
         for (auto n = rng.below(3); n > 0; --n) post(depth + 1);
     };
     const Time now = s.now();
-    switch (rng.below(6)) {
+    const std::array<std::uint64_t, 3> tag{id, ~id, id};
+    const auto wide = [&log, fn, tag] {
+      fn();
+      log.push_back(tag[0] ^ tag[1] ^ tag[2]);
+    };
+    static_assert(sizeof(wide) == runtime::LaneTask::kInline);
+    switch (rng.below(8)) {
+      case 6:
+        s.schedule_at(now + 10 * rng.below(4), runtime::LaneTask{wide});
+        break;
+      case 7: s.schedule_after(rng.below(60), runtime::LaneTask{wide}); break;
       case 0: s.schedule_at(now + 10 * rng.below(4), std::move(fn)); break;
       case 1: s.schedule_at(now > 25 ? now - 25 : 0, std::move(fn)); break;
       case 2: s.schedule_after(rng.below(3), std::move(fn)); break;
@@ -348,6 +371,38 @@ TEST(Scheduler, PostsAtTimeMaxRunLastInPostOrder) {
   EXPECT_TRUE(s.step());
   EXPECT_FALSE(s.step());
   EXPECT_EQ(order.back(), 6);
+}
+
+// A delivery rides in its scheduler item, so a scheduler torn down with
+// deliveries pending releases their frames itself, after the Network that
+// posted them is gone and without touching it (run under ASan+UBSan).
+TEST(Network, DestroyedSchedulerReleasesPendingFramesWithoutTheNetwork) {
+  auto sched = std::make_unique<Scheduler>();
+  auto net = std::make_unique<Network>(*sched, 100);
+  net->attach(2, [](NodeId, const Network::Payload&) { ADD_FAILURE(); });
+  // Every third message is duplicated: two copies pending, two refs.
+  net->set_interceptor([](NodeId, NodeId, const Network::Payload& p) {
+    return Network::FaultAction{p.size() % 3 == 0 ? 2u : 1u, 0};
+  });
+  std::vector<Network::Payload> frames;
+  LinkTag tag;
+  tag.present = true;
+  for (std::size_t i = 0; i < 48; ++i) {
+    frames.emplace_back(std::vector<std::byte>(i + 1, std::byte{0x5a}));
+    tag.seq = i + 1;
+    if (i % 2 == 0) {
+      net->send(1, 2, frames.back());
+    } else {
+      net->send(1, 3, frames.back(), tag);  // 3 never attached
+    }
+  }
+  sched->run_until(50);  // nothing is due before 100
+  net.reset();
+  for (const Network::Payload& f : frames)
+    EXPECT_EQ(f.use_count(), f.size() % 3 == 0 ? 3u : 2u);
+  EXPECT_EQ(sched->pending(), 48u + 16u);
+  sched.reset();
+  for (const Network::Payload& f : frames) EXPECT_EQ(f.use_count(), 1u);
 }
 
 TEST(Network, DeliversWithDefaultLatency) {

@@ -4,7 +4,10 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <bit>
 #include <limits>
+#include <span>
+#include <string>
 #include <string_view>
 #include <vector>
 
@@ -315,6 +318,134 @@ TEST(Wire, RawAppendsVerbatim) {
   Writer outer;
   outer.raw(inner.bytes());
   EXPECT_EQ(outer.bytes(), inner.bytes());
+}
+
+
+// The wire layout written the plainest way: one push_back per byte, the
+// zigzag map spelled out by sign, FNV-1a by its definition. `Writer` must
+// append the very same bytes however it batches them.
+struct BytewiseWriter {
+  std::vector<std::byte> out;
+
+  void u8(std::uint8_t v) { out.push_back(static_cast<std::byte>(v)); }
+  void varint(std::uint64_t v) {
+    do {
+      const auto low = static_cast<std::uint8_t>(v & 0x7f);
+      v >>= 7;
+      u8(v != 0 ? low | 0x80 : low);
+    } while (v != 0);
+  }
+  void zigzag(std::int64_t v) {
+    // 0, -1, 1, -2, 2, ... -> 0, 1, 2, 3, 4, ...
+    const auto bits = static_cast<std::uint64_t>(v);
+    varint(v >= 0 ? bits * 2 : ~bits * 2 + 1);
+  }
+  void fixed64(std::uint64_t v) {
+    for (int i = 0; i < 8; ++i) u8(static_cast<std::uint8_t>(v >> (8 * i)));
+  }
+  void f64(double v) { fixed64(std::bit_cast<std::uint64_t>(v)); }
+  void string(std::string_view s) {
+    varint(s.size());
+    for (const char c : s) u8(static_cast<std::uint8_t>(c));
+  }
+  // varint length, payload, FNV-1a 64 of the payload.
+  [[nodiscard]] std::vector<std::byte> framed() const {
+    BytewiseWriter f;
+    f.varint(out.size());
+    std::uint64_t sum = 0xcbf29ce484222325ULL;
+    for (const std::byte b : out) {
+      f.out.push_back(b);
+      sum = (sum ^ static_cast<std::uint64_t>(b)) * 0x100000001b3ULL;
+    }
+    f.fixed64(sum);
+    return f.out;
+  }
+};
+
+std::vector<std::byte> bytes_of(std::span<const std::byte> s) {
+  return {s.begin(), s.end()};
+}
+
+TEST(Wire, WriterMatchesABytewiseReferenceWriter) {
+  const std::uint64_t varints[] = {0,
+                                   1,
+                                   127,
+                                   128,
+                                   255,
+                                   16383,
+                                   16384,
+                                   std::uint64_t{1} << 35,
+                                   (std::uint64_t{1} << 35) - 1,
+                                   std::uint64_t{1} << 63,
+                                   std::numeric_limits<std::uint64_t>::max()};
+  const std::int64_t zigzags[] = {0,
+                                  -1,
+                                  1,
+                                  -64,
+                                  63,
+                                  -65,
+                                  64,
+                                  std::numeric_limits<std::int64_t>::min(),
+                                  std::numeric_limits<std::int64_t>::max(),
+                                  std::numeric_limits<std::int64_t>::min() + 1};
+  const double doubles[] = {0.0,
+                            -0.0,
+                            std::numeric_limits<double>::infinity(),
+                            -std::numeric_limits<double>::infinity(),
+                            std::bit_cast<double>(0x7ff80000deadbeefULL),
+                            std::bit_cast<double>(0xfff4000000000001ULL),
+                            std::numeric_limits<double>::denorm_min(),
+                            0.1};
+  const std::string strings[] = {"", "a", std::string{"nul\0inside", 10},
+                                 std::string(127, 's'), std::string(128, 'l'),
+                                 std::string(20'000, 'w')};
+
+  Writer w;
+  BytewiseWriter ref;
+  for (const std::uint64_t v : varints) {
+    w.varint(v);
+    ref.varint(v);
+  }
+  for (const std::int64_t v : zigzags) {
+    w.zigzag(v);
+    ref.zigzag(v);
+  }
+  for (const double v : doubles) {
+    w.f64(v);
+    ref.f64(v);
+  }
+  for (const std::string& s : strings) {
+    w.string(s);
+    ref.string(s);
+    w.u8(0xa5);
+    ref.u8(0xa5);
+  }
+  ASSERT_EQ(w.bytes(), ref.out);
+  EXPECT_EQ(bytes_of(frame(w.bytes())), ref.framed());
+
+  // Whole frames, framed in place into pooled buffers: payload lengths on
+  // both sides of each length-varint width, checksum tail included.
+  for (const std::size_t len : {0, 1, 127, 128, 300, 16'384}) {
+    Writer fw = Writer::pooled();
+    fw.begin_frame();
+    BytewiseWriter payload;
+    for (std::size_t i = 0; payload.out.size() < len; ++i) {
+      const std::uint64_t v = (i * 0x9e3779b97f4a7c15ULL) >> (i % 64);
+      if (payload.out.size() + 10 <= len && i % 3 == 0) {
+        fw.varint(v);
+        payload.varint(v);
+      } else if (payload.out.size() + 8 <= len && i % 3 == 1) {
+        fw.f64(std::bit_cast<double>(v));
+        payload.f64(std::bit_cast<double>(v));
+      } else {
+        fw.u8(static_cast<std::uint8_t>(v));
+        payload.u8(static_cast<std::uint8_t>(v));
+      }
+    }
+    const Frame framed = fw.end_frame();
+    EXPECT_EQ(bytes_of(framed.bytes()), payload.framed()) << "payload " << len;
+    EXPECT_EQ(bytes_of(unframe(framed)), payload.out) << "payload " << len;
+  }
 }
 
 }  // namespace
